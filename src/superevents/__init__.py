@@ -20,21 +20,8 @@ from .data import (
     save_manifest,
     split_manifest,
 )
-from .detector import (
-    DetectorParams,
-    LabelMask,
-    bce_loss,
-    classify_frames,
-    classify_frames_baseline,
-)
+from .detector import bce_loss
 from .evaluation import EvalReport, average_precision, evaluate
-from .filters import (
-    FilterBank,
-    FilterParams,
-    MaterializedFilter,
-    filter_backward,
-    materialize_filter,
-)
 from .model import (
     VARIANTS,
     ModelState,
@@ -44,9 +31,7 @@ from .model import (
     save_checkpoint,
 )
 from .pooling import (
-    AttentionWeights,
     RelativeConfig,
-    SuperEventRep,
     pool_attended,
     pool_baseline,
     pool_relative,
@@ -58,29 +43,19 @@ from .training import GradcheckReport, TrainConfig, gradcheck, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionWeights",
     "Dataset",
     "DatasetManifest",
-    "DetectorParams",
     "EvalReport",
-    "FilterBank",
-    "FilterParams",
     "GradcheckReport",
-    "LabelMask",
-    "MaterializedFilter",
     "ModelState",
     "PairedRule",
     "RelativeConfig",
-    "SuperEventRep",
     "SynthConfig",
     "TrainConfig",
     "VARIANTS",
     "average_precision",
     "bce_loss",
-    "classify_frames",
-    "classify_frames_baseline",
     "evaluate",
-    "filter_backward",
     "generate_synthetic",
     "gradcheck",
     "init_model",
@@ -89,7 +64,6 @@ __all__ = [
     "load_features",
     "load_labels",
     "load_manifest",
-    "materialize_filter",
     "pool_attended",
     "pool_baseline",
     "pool_relative",

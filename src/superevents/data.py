@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -178,10 +178,22 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 def load_manifest(path) -> DatasetManifest:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: manifest is not a JSON object")
     if doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
         raise UnsupportedVersionError(
             f"{path}: unsupported manifest schema {doc.get('schema_version')!r}"
         )
+    missing = [key for key in ("class_names", "feature_dim", "videos") if key not in doc]
+    if missing:
+        raise FormatError(f"{path}: manifest lacks {', '.join(missing)}")
+    video_keys = {f.name for f in fields(VideoEntry)}
+    for v in doc["videos"]:
+        if not isinstance(v, dict) or set(v) != video_keys:
+            raise FormatError(
+                f"{path}: video entry {v!r} must have exactly the keys "
+                f"{', '.join(sorted(video_keys))}"
+            )
     return DatasetManifest(
         class_names=list(doc["class_names"]),
         feature_dim=int(doc["feature_dim"]),
@@ -316,6 +328,9 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown SynthConfig field(s): {', '.join(unknown)}")
         d = dict(d)
         if "rules" in d:
             d["rules"] = tuple(

@@ -1,78 +1,28 @@
-"""Per-frame multi-label sigmoid classification, with or without context.
+"""Per-frame multi-label sigmoid scores and the detector's loss.
 
-The context head scores class c from the concatenation [v_t, S_c] of the
-frame feature and that class's pooled context vector; the baseline head
-sees the frame feature alone. Both heads carry a bias. The loss is the
-mean binary cross-entropy over all (frame, class) cells, computed from
-logits in the fused log-sum-exp form (never log of a saturated sigmoid),
-with logits clamped to [-30, 30].
+Class c is scored from the concatenation [v_t, S_c] of the frame feature and
+that class's context vector (per-class, or per-frame for the relative
+variant), or from the frame feature alone when there is no context; the head
+carries a bias. The loss is the mean binary cross-entropy over all
+(frame, class) cells, computed from logits in the fused log-sum-exp form
+(never log of a saturated sigmoid), with logits clamped to [-30, 30].
 
-Forward and backward are pure functions; gradients are exact, with the
-clamp contributing zero gradient outside its range.
+All functions are pure; the clamp contributes zero gradient outside its range.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "DetectorParams",
-    "LabelMask",
-    "init_detector_params",
     "frame_logits",
-    "classify_frames",
-    "classify_frames_baseline",
     "bce_loss",
     "bce_backward",
-    "detector_backward",
-    "detector_backward_baseline",
     "sigmoid",
     "LOGIT_CLAMP",
 ]
 
 LOGIT_CLAMP = 30.0
-
-
-@dataclass
-class DetectorParams:
-    """Both classifier heads; the context head's rows score [v_t, S_c]."""
-
-    weight: np.ndarray  # (C, D + ctx_dim)
-    bias: np.ndarray  # (C,)
-    baseline_weight: np.ndarray  # (C, D)
-    baseline_bias: np.ndarray  # (C,)
-
-    def __post_init__(self):
-        for arr in (self.weight, self.bias, self.baseline_weight, self.baseline_bias):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("detector parameters must be finite")
-
-
-@dataclass
-class LabelMask:
-    """Binary frame-level labels; several classes may be active per frame."""
-
-    z: np.ndarray  # (T, C) in {0, 1}
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z)
-        if not np.isin(self.z, (0, 1)).all():
-            raise ValueError("labels must be 0 or 1")
-
-
-def init_detector_params(rng: np.random.Generator, feature_dim: int, ctx_dim: int,
-                         num_classes: int, dtype=np.float32) -> DetectorParams:
-    """Uniform(-a, a) weights with fan-in scaling a = sqrt(1/fan_in), zero biases."""
-    a = (1.0 / (feature_dim + ctx_dim)) ** 0.5
-    a0 = (1.0 / feature_dim) ** 0.5
-    return DetectorParams(
-        weight=rng.uniform(-a, a, (num_classes, feature_dim + ctx_dim)).astype(dtype),
-        bias=np.zeros(num_classes, dtype=dtype),
-        baseline_weight=rng.uniform(-a0, a0, (num_classes, feature_dim)).astype(dtype),
-        baseline_bias=np.zeros(num_classes, dtype=dtype),
-    )
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -83,10 +33,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(x[~pos])
     out[~pos] = e / (1 + e)
     return out
-
-
-def _labels(z) -> np.ndarray:
-    return z.z if isinstance(z, LabelMask) else np.asarray(z)
 
 
 def frame_logits(weight: np.ndarray, bias: np.ndarray, features: np.ndarray,
@@ -123,18 +69,6 @@ def frame_logits(weight: np.ndarray, bias: np.ndarray, features: np.ndarray,
     return logits
 
 
-def classify_frames(params: DetectorParams, features: np.ndarray,
-                    context: np.ndarray) -> np.ndarray:
-    """Per-frame class probabilities using the context head."""
-    ctx = context.values if hasattr(context, "values") else context
-    return sigmoid(frame_logits(params.weight, params.bias, features, ctx))
-
-
-def classify_frames_baseline(params: DetectorParams, features: np.ndarray) -> np.ndarray:
-    """Per-frame class probabilities from the frame feature alone."""
-    return sigmoid(frame_logits(params.baseline_weight, params.baseline_bias, features))
-
-
 def _clamped(logits: np.ndarray):
     c = logits.dtype.type(LOGIT_CLAMP) if hasattr(logits.dtype, "type") else LOGIT_CLAMP
     return np.clip(logits, -c, c), np.abs(logits) < c
@@ -143,7 +77,7 @@ def _clamped(logits: np.ndarray):
 def bce_loss(logits: np.ndarray, labels) -> float:
     """Mean over (t, c) of z*softplus(-x) + (1-z)*softplus(x), x clamped."""
     logits = np.asarray(logits)
-    z = _labels(labels)
+    z = np.asarray(labels)
     if logits.shape != z.shape:
         raise ValueError(f"logits {logits.shape} vs labels {z.shape}")
     x, _ = _clamped(logits)
@@ -155,44 +89,6 @@ def bce_loss(logits: np.ndarray, labels) -> float:
 def bce_backward(logits: np.ndarray, labels) -> np.ndarray:
     """d(mean bce)/d(logits): (sigmoid(x) - z) / (T*C), zero where clamped."""
     logits = np.asarray(logits)
-    z = _labels(labels)
+    z = np.asarray(labels)
     x, inside = _clamped(logits)
     return (sigmoid(x) - z) * inside / logits.size
-
-
-def detector_backward(params: DetectorParams, features: np.ndarray, context,
-                      labels) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of the mean BCE through the context head.
-
-    Returns (d_weight, d_bias, d_context, d_features); d_context matches the
-    context's shape (per-class or per-frame).
-    """
-    ctx = np.asarray(context.values if hasattr(context, "values") else context)
-    features = np.asarray(features)
-    logits = frame_logits(params.weight, params.bias, features, ctx)
-    dlogits = bce_backward(logits, labels)
-
-    d = features.shape[1]
-    w_frame = params.weight[:, :d]
-    w_ctx = params.weight[:, d:]
-    d_bias = dlogits.sum(axis=0)
-    d_w_frame = dlogits.T @ features
-    d_features = dlogits @ w_frame
-    if ctx.ndim == 2:
-        d_w_ctx = d_bias[:, None] * ctx
-        d_ctx = d_bias[:, None] * w_ctx
-    else:
-        d_w_ctx = np.einsum("tc,tck->ck", dlogits, ctx, optimize=True)
-        d_ctx = np.einsum("tc,ck->tck", dlogits, w_ctx, optimize=True)
-    d_weight = np.concatenate([d_w_frame, d_w_ctx], axis=1)
-    return d_weight, d_bias, d_ctx, d_features
-
-
-def detector_backward_baseline(params: DetectorParams, features: np.ndarray,
-                               labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of the mean BCE through the baseline head:
-    (d_weight, d_bias, d_features)."""
-    features = np.asarray(features)
-    logits = frame_logits(params.baseline_weight, params.baseline_bias, features)
-    dlogits = bce_backward(logits, labels)
-    return dlogits.T @ features, dlogits.sum(axis=0), dlogits @ params.baseline_weight

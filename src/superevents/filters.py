@@ -12,91 +12,21 @@ so every column is strictly positive and sums to one regardless of the raw
 parameter values, and center positions rescale proportionally with T.
 Frames are 0-based, t in {0, ..., T-1}.
 
-All functions are pure and dtype-preserving (feed float64/longdouble arrays
-to get that precision back), so they are safe to call concurrently.
-`filter_backward` supplies the exact parameter gradients, including the
-dependence of the per-column normalizer on both parameters; at width = 0,
-where |tanh| has a kink, the subgradient 0 is used.
+Both functions take parameters with any leading shape: one filter's (N,),
+or a stack of M filters' (M, N). They are pure and dtype-preserving (feed
+float64/longdouble arrays to get that precision back), so they are safe to
+call concurrently. `stack_backward` supplies the exact parameter gradients,
+including the dependence of the per-column normalizer on both parameters; at
+width = 0, where |tanh| has a kink, the subgradient 0 is used.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "FilterParams",
-    "FilterBank",
-    "MaterializedFilter",
-    "materialize_filter",
-    "filter_backward",
-    "materialize_stack",
-    "stack_backward",
-    "init_filter_params",
-]
-
-
-@dataclass
-class FilterParams:
-    """Unconstrained parameters of one filter: N centers and N widths."""
-
-    centers: np.ndarray  # shape (N,)
-    widths: np.ndarray  # shape (N,)
-
-    def __post_init__(self):
-        self.centers = np.atleast_1d(np.asarray(self.centers))
-        self.widths = np.atleast_1d(np.asarray(self.widths))
-        if self.centers.shape != self.widths.shape or self.centers.ndim != 1:
-            raise ValueError("centers and widths must be 1-D and the same length")
-
-    @property
-    def num_distributions(self) -> int:
-        return self.centers.shape[0]
-
-
-@dataclass
-class FilterBank:
-    """M filters of N distributions each, stored as (M, N) parameter arrays."""
-
-    centers: np.ndarray
-    widths: np.ndarray
-
-    def __post_init__(self):
-        self.centers = np.atleast_2d(np.asarray(self.centers))
-        self.widths = np.atleast_2d(np.asarray(self.widths))
-        if self.centers.shape != self.widths.shape:
-            raise ValueError("centers and widths must share a shape")
-
-    @property
-    def num_filters(self) -> int:
-        return self.centers.shape[0]
-
-    @property
-    def num_distributions(self) -> int:
-        return self.centers.shape[1]
-
-    def filter(self, m: int) -> FilterParams:
-        return FilterParams(self.centers[m], self.widths[m])
-
-
-@dataclass
-class MaterializedFilter:
-    """One filter evaluated at a concrete sequence length T."""
-
-    values: np.ndarray  # (T, N), columns sum to 1
-    frame_centers: np.ndarray  # (N,), in frame units on [0, T-1]
-    scales: np.ndarray  # (N,), dimensionless, in (1/e, e]
-    norms: np.ndarray  # (N,), per-column normalization constants
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_distributions(self) -> int:
-        return self.values.shape[1]
+__all__ = ["materialize_stack", "stack_backward"]
 
 
 def _check_params(centers, widths):
@@ -133,14 +63,6 @@ def materialize_stack(centers: np.ndarray, widths: np.ndarray, T: int):
     norms = g.sum(axis=-2)
     values = g / norms[..., None, :]
     return values, frame_centers, scales, norms
-
-
-def materialize_filter(params: FilterParams, T: int) -> MaterializedFilter:
-    """Build the T x N filter matrix for one set of parameters."""
-    values, frame_centers, scales, norms = materialize_stack(
-        params.centers, params.widths, T
-    )
-    return MaterializedFilter(values, frame_centers, scales, norms)
 
 
 def stack_backward(centers: np.ndarray, widths: np.ndarray, T: int, upstream: np.ndarray):
@@ -184,17 +106,3 @@ def stack_backward(centers: np.ndarray, widths: np.ndarray, T: int, upstream: np
     # sign() yields 0 at width = 0: the chosen subgradient of |tanh|
     dwidths = dscale_hat * scales * (-2) * np.sign(th_w) * (one - th_w * th_w)
     return dcenters, dwidths
-
-
-def filter_backward(params: FilterParams, T: int, upstream: np.ndarray) -> FilterParams:
-    """Parameter gradients for one filter; returns them in a FilterParams carrier."""
-    dc, dw = stack_backward(params.centers, params.widths, T, upstream)
-    return FilterParams(dc, dw)
-
-
-def init_filter_params(rng: np.random.Generator, num_distributions: int,
-                       dtype=np.float32) -> FilterParams:
-    """Fresh parameters, centers and widths ~ Uniform(-0.5, 0.5)."""
-    c = rng.uniform(-0.5, 0.5, size=num_distributions).astype(dtype)
-    w = rng.uniform(-0.5, 0.5, size=num_distributions).astype(dtype)
-    return FilterParams(c, w)

@@ -59,6 +59,11 @@ FILTER_VARIANTS = ("single", "attended", "relative")
 CHECKPOINT_MAGIC = b"TSFM"
 CHECKPOINT_VERSION = 1
 
+_HEADER_KEYS = ("variant", "feature_dim", "num_classes", "num_distributions",
+                "num_filters", "kernel_length", "class_names", "adam_t", "iteration",
+                "rng_state", "config", "tensors")
+_TENSOR_KEYS = {"name", "dtype", "shape"}
+
 
 @dataclass
 class ModelState:
@@ -152,11 +157,9 @@ def _context(params, variant, kernel_length, features):
         kernel_length if variant == "relative" else features.shape[0],
     )
     if variant == "single":
-        # class c pools with its own filter: (C, T, N) x (T, D) -> (C, N*D)
-        mixed = np.einsum("ctn,td->cnd", stack, features, optimize=True)
-        return mixed.reshape(stack.shape[0], -1)
+        return pooling.pool_single(stack, features)
     if variant == "attended":
-        return pooling.pool_attended(stack, params["attention_logits"], features).values
+        return pooling.pool_attended(stack, params["attention_logits"], features)
     return pooling.pool_relative(stack, params["attention_logits"], features,
                                  RelativeConfig(kernel_length))
 
@@ -227,12 +230,12 @@ def loss_and_grads(state: ModelState, features: np.ndarray, labels: np.ndarray):
         up = d_ctx.reshape(c, n, D)
         d_stack = np.einsum("cnd,td->ctn", up, features, optimize=True)
     elif variant == "attended":
-        d_stack, d_logits_att, _ = pooling.pool_attended_backward(
+        d_stack, d_logits_att = pooling.pool_attended_backward(
             stack, p["attention_logits"], features, d_ctx
         )
         grads["attention_logits"] = d_logits_att
     else:
-        d_stack, d_logits_att, _ = pooling._relative_grads(rel_cache, d_ctx)
+        d_stack, d_logits_att = pooling._relative_grads(rel_cache, d_ctx)
         grads["attention_logits"] = d_logits_att
 
     dc, dw_ = stack_backward(p["filter_centers"], p["filter_widths"], length, d_stack)
@@ -287,6 +290,12 @@ def save_checkpoint(state: ModelState, path) -> None:
         fh.write(payload)
 
 
+def _is_tensor_entry(entry) -> bool:
+    return (isinstance(entry, dict) and set(entry) == _TENSOR_KEYS
+            and isinstance(entry["name"], str) and isinstance(entry["shape"], list)
+            and all(isinstance(d, int) and d >= 0 for d in entry["shape"]))
+
+
 def load_checkpoint(path) -> ModelState:
     raw = Path(path).read_bytes()
     if len(raw) < 12:
@@ -303,10 +312,29 @@ def load_checkpoint(path) -> ModelState:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable checkpoint header: {exc}") from exc
 
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: checkpoint header is not a JSON object")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise FormatError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+    tensors = header["tensors"]
+    if not (isinstance(tensors, list) and all(map(_is_tensor_entry, tensors))):
+        raise FormatError(
+            f"{path}: checkpoint tensors must be a list of {{name, dtype, shape}} objects"
+        )
+
     offset = 12 + header_len
     groups: dict[str, dict[str, np.ndarray]] = {"params": {}, "adam_m": {}, "adam_v": {}}
-    for entry in header["tensors"]:
-        dt = np.dtype(entry["dtype"])
+    for entry in tensors:
+        group, _, name = entry["name"].partition("/")
+        if group not in groups or not name:
+            raise FormatError(
+                f"{path}: tensor {entry['name']!r} is not in params, adam_m or adam_v"
+            )
+        try:
+            dt = np.dtype(entry["dtype"])
+        except TypeError as exc:
+            raise FormatError(f"{path}: tensor {entry['name']}: {exc}") from exc
         count = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
         nbytes = dt.itemsize * count
         if offset + nbytes > len(raw):
@@ -315,7 +343,6 @@ def load_checkpoint(path) -> ModelState:
             entry["shape"]
         )
         offset += nbytes
-        group, name = entry["name"].split("/", 1)
         groups[group][name] = arr.astype(dt.newbyteorder("="))
 
     return ModelState(

@@ -1,10 +1,13 @@
 """Pooling of a T x D feature sequence into super-event context vectors.
 
-Four families, all pure functions with exact hand-written backward passes:
+Four families, all pure functions; the two that carry learned attention have
+exact hand-written backward passes for the filter stack and the attention
+logits (features are fixed inputs, so no gradient flows to them):
 
 * pool_single      — one T x N filter applied to the sequence, giving an
                      N*D vector (distribution-major: block n holds the
-                     filter-weighted frame average for distribution n).
+                     filter-weighted frame average for distribution n); a
+                     (C, T, N) stack gives one such vector per class.
 * pool_attended    — M shared filters mixed per class by a row-softmax of
                      attention logits; computed as the attention-weighted
                      mixture of the M pooled vectors (identical by linearity
@@ -25,22 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import MaterializedFilter
-
 __all__ = [
-    "AttentionWeights",
     "RelativeConfig",
-    "SuperEventRep",
     "soft_attention",
     "soft_attention_backward",
     "pool_single",
-    "pool_single_backward",
     "pool_attended",
     "pool_attended_backward",
     "pool_relative",
-    "pool_relative_backward",
     "pool_baseline",
-    "pool_baseline_backward",
     "BASELINE_KINDS",
     "baseline_context_blocks",
 ]
@@ -49,27 +45,6 @@ BASELINE_KINDS = ("max", "mean", "pyramid3")
 
 # blocks of length D each kind concatenates
 baseline_context_blocks = {"max": 1, "mean": 1, "pyramid3": 7}
-
-
-@dataclass
-class AttentionWeights:
-    """Per-class attention logits over M shared filters."""
-
-    logits: np.ndarray  # (C, M)
-
-    def __post_init__(self):
-        self.logits = np.atleast_2d(np.asarray(self.logits))
-
-    @property
-    def num_classes(self) -> int:
-        return self.logits.shape[0]
-
-    @property
-    def num_filters(self) -> int:
-        return self.logits.shape[1]
-
-    def attention(self) -> np.ndarray:
-        return soft_attention(self.logits)
 
 
 @dataclass(frozen=True)
@@ -86,39 +61,9 @@ class RelativeConfig:
             raise ValueError("kernel length must be odd so the kernel has a center")
 
 
-@dataclass
-class SuperEventRep:
-    """Per-class pooled context vectors, values[c] of length N*D."""
-
-    values: np.ndarray  # (C, N*D)
-    num_distributions: int
-
-    def block(self, c: int, n: int) -> np.ndarray:
-        d = self.values.shape[1] // self.num_distributions
-        return self.values[c, n * d : (n + 1) * d]
-
-
-def _filter_values(f) -> np.ndarray:
-    if isinstance(f, MaterializedFilter):
-        return f.values
-    return np.asarray(f)
-
-
-def _filter_stack(filters) -> np.ndarray:
-    if isinstance(filters, np.ndarray):
-        return filters
-    return np.stack([_filter_values(f) for f in filters])
-
-
-def _attention_logits(weights) -> np.ndarray:
-    if isinstance(weights, AttentionWeights):
-        return weights.logits
-    return np.atleast_2d(np.asarray(weights))
-
-
 def soft_attention(logits) -> np.ndarray:
     """Row softmax with max subtraction; rows land on the simplex."""
-    logits = _attention_logits(logits)
+    logits = np.asarray(logits)
     if not np.all(np.isfinite(logits)):
         raise ValueError("attention logits must be finite")
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -132,26 +77,19 @@ def soft_attention_backward(attention: np.ndarray, upstream: np.ndarray) -> np.n
     return attention * (upstream - inner)
 
 
-def pool_single(filt, features: np.ndarray) -> np.ndarray:
-    """Apply one T x N filter to T x D features -> N*D vector."""
-    values = _filter_values(filt)
+def pool_single(filters: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Apply one T x N filter to T x D features -> N*D vector, or a (C, T, N)
+    stack, one filter per class, -> (C, N*D)."""
+    filters = np.asarray(filters)
     features = np.asarray(features)
-    if values.shape[0] != features.shape[0]:
+    if filters.shape[-2] != features.shape[0]:
         raise ValueError(
-            f"filter length {values.shape[0]} != sequence length {features.shape[0]}"
+            f"filter length {filters.shape[-2]} != sequence length {features.shape[0]}"
         )
-    return (values.T @ features).reshape(-1)
-
-
-def pool_single_backward(filt, features: np.ndarray, upstream: np.ndarray):
-    """Returns (d_filter_values (T,N), d_features (T,D))."""
-    values = _filter_values(filt)
-    features = np.asarray(features)
-    n = values.shape[1]
-    up = np.asarray(upstream).reshape(n, features.shape[1])  # (N, D)
-    d_values = features @ up.T
-    d_features = values @ up
-    return d_values, d_features
+    if filters.ndim == 2:
+        return (filters.T @ features).reshape(-1)
+    mixed = np.einsum("ctn,td->cnd", filters, features, optimize=True)
+    return mixed.reshape(filters.shape[0], -1)
 
 
 def _pooled_per_filter(stack: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -159,10 +97,10 @@ def _pooled_per_filter(stack: np.ndarray, features: np.ndarray) -> np.ndarray:
     return np.einsum("mtn,td->mnd", stack, features, optimize=True)
 
 
-def pool_attended(filters, weights, features: np.ndarray) -> SuperEventRep:
-    """Per-class context: attention-weighted mixture of M pooled vectors."""
-    stack = _filter_stack(filters)
-    logits = _attention_logits(weights)
+def pool_attended(stack: np.ndarray, logits: np.ndarray,
+                  features: np.ndarray) -> np.ndarray:
+    """Per-class context (C, N*D): attention-weighted mixture of the M pooled
+    vectors of a (M, T, N) filter stack, with (C, M) attention logits."""
     if logits.shape[1] != stack.shape[0]:
         raise ValueError(
             f"attention expects {logits.shape[1]} filters, bank has {stack.shape[0]}"
@@ -172,16 +110,14 @@ def pool_attended(filters, weights, features: np.ndarray) -> SuperEventRep:
     att = soft_attention(logits)
     pooled = _pooled_per_filter(stack, features)  # (M, N, D)
     mixed = np.einsum("cm,mnd->cnd", att, pooled, optimize=True)
-    c = logits.shape[0]
-    return SuperEventRep(mixed.reshape(c, -1), stack.shape[2])
+    return mixed.reshape(logits.shape[0], -1)
 
 
-def pool_attended_backward(filters, weights, features: np.ndarray, upstream: np.ndarray):
-    """Returns (d_filter_stack (M,T,N), d_logits (C,M), d_features (T,D))."""
-    stack = _filter_stack(filters)
-    logits = _attention_logits(weights)
+def pool_attended_backward(stack: np.ndarray, logits: np.ndarray,
+                           features: np.ndarray, upstream: np.ndarray):
+    """Returns (d_filter_stack (M,T,N), d_logits (C,M))."""
     features = np.asarray(features)
-    m, _, n = stack.shape
+    n = stack.shape[2]
     c = logits.shape[0]
     up = np.asarray(upstream).reshape(c, n, features.shape[1])  # (C, N, D)
 
@@ -191,21 +127,20 @@ def pool_attended_backward(filters, weights, features: np.ndarray, upstream: np.
     d_logits = soft_attention_backward(att, d_att)
     d_pooled = np.einsum("cm,cnd->mnd", att, up, optimize=True)
     d_stack = np.einsum("mnd,td->mtn", d_pooled, features, optimize=True)
-    d_features = np.einsum("mtn,mnd->td", stack, d_pooled, optimize=True)
-    return d_stack, d_logits, d_features
+    return d_stack, d_logits
 
 
-def _padded_windows(features: np.ndarray, L: int):
+def _padded_windows(features: np.ndarray, L: int) -> np.ndarray:
     """Zero-padded sliding windows, windows[t, d, l] = padded[t + l, d]."""
     T, D = features.shape
     half = (L - 1) // 2
     padded = np.zeros((T + L - 1, D), dtype=features.dtype)
     padded[half : half + T] = features
-    windows = np.lib.stride_tricks.sliding_window_view(padded, L, axis=0)
-    return windows, half
+    return np.lib.stride_tricks.sliding_window_view(padded, L, axis=0)
 
 
-def _relative_state(filters, weights, features: np.ndarray, cfg: RelativeConfig):
+def _relative_state(stack: np.ndarray, logits: np.ndarray, features: np.ndarray,
+                    cfg: RelativeConfig):
     """Forward pass of the per-frame pooling plus the intermediates its
     backward pass needs; returns (mixed (T, C, N*D), cache).
 
@@ -213,8 +148,6 @@ def _relative_state(filters, weights, features: np.ndarray, cfg: RelativeConfig)
     never has to copy; the only large copy is materializing the zero-padded
     sliding windows once.
     """
-    stack = _filter_stack(filters)
-    logits = _attention_logits(weights)
     features = np.asarray(features)
     m, L, n = stack.shape
     if L != cfg.kernel_length:
@@ -224,7 +157,7 @@ def _relative_state(filters, weights, features: np.ndarray, cfg: RelativeConfig)
     T, D = features.shape
     c = logits.shape[0]
 
-    windows, half = _padded_windows(features, L)  # (T, D, L) strided view
+    windows = _padded_windows(features, L)  # (T, D, L) strided view
     windows2 = np.ascontiguousarray(windows).reshape(T * D, L)
     kernels = np.ascontiguousarray(stack.transpose(1, 0, 2)).reshape(L, m * n)
     per_frame = windows2 @ kernels  # (T*D, M*N)
@@ -239,17 +172,15 @@ def _relative_state(filters, weights, features: np.ndarray, cfg: RelativeConfig)
     ).reshape(T, c, n * D)
     cache = {
         "windows2": windows2,
-        "kernels": kernels,
         "pf_nm": pf_nm,
         "att": att,
-        "half": half,
         "shape": (m, L, n, T, D),
     }
     return out, cache
 
 
 def _relative_grads(cache: dict, upstream: np.ndarray):
-    """(d_filter_stack, d_logits, d_features) from a _relative_state cache."""
+    """(d_filter_stack, d_logits) from a _relative_state cache."""
     m, L, n, T, D = cache["shape"]
     att = cache["att"]
     c = att.shape[0]
@@ -264,29 +195,15 @@ def _relative_grads(cache: dict, upstream: np.ndarray):
     d_per_frame = np.ascontiguousarray(d_pf.transpose(0, 2, 1)).reshape(T * D, m * n)
     d_kernels = cache["windows2"].T @ d_per_frame  # (L, M*N)
     d_stack = d_kernels.reshape(L, m, n).transpose(1, 0, 2)
-
-    # d_padded[s] = sum_l kernels[l] . d_per_frame[s - l]
-    shifted = (cache["kernels"] @ d_per_frame.T).reshape(L, T, D)
-    d_padded = np.zeros((T + L - 1, D), dtype=shifted.dtype)
-    for l in range(L):
-        d_padded[l : l + T] += shifted[l]
-    d_features = d_padded[cache["half"] : cache["half"] + T]
-    return d_stack, d_logits, d_features
+    return d_stack, d_logits
 
 
-def pool_relative(filters, weights, features: np.ndarray,
+def pool_relative(stack: np.ndarray, logits: np.ndarray, features: np.ndarray,
                   cfg: RelativeConfig) -> np.ndarray:
     """Per-frame context (T, C, N*D): kernels centered at each frame, then
     attention mixing as in pool_attended."""
-    mixed, _ = _relative_state(filters, weights, features, cfg)
+    mixed, _ = _relative_state(stack, logits, features, cfg)
     return mixed
-
-
-def pool_relative_backward(filters, weights, features: np.ndarray,
-                           cfg: RelativeConfig, upstream: np.ndarray):
-    """Returns (d_filter_stack (M,L,N), d_logits (C,M), d_features (T,D))."""
-    _, cache = _relative_state(filters, weights, features, cfg)
-    return _relative_grads(cache, upstream)
 
 
 def _pyramid_segments(T: int):
@@ -320,24 +237,3 @@ def pool_baseline(kind: str, features: np.ndarray) -> np.ndarray:
             [features[s:e].mean(axis=0) for s, e in _pyramid_segments(features.shape[0])]
         )
     raise ValueError(f"unknown pooling kind {kind!r}")
-
-
-def pool_baseline_backward(kind: str, features: np.ndarray,
-                           upstream: np.ndarray) -> np.ndarray:
-    """d_features for the parameter-free poolings (max routes to the first
-    argmax frame per coordinate)."""
-    features = np.asarray(features)
-    T, D = features.shape
-    d = np.zeros_like(features)
-    if kind == "max":
-        idx = features.argmax(axis=0)
-        d[idx, np.arange(D)] = upstream
-    elif kind == "mean":
-        d += np.asarray(upstream) / T
-    elif kind == "pyramid3":
-        up = np.asarray(upstream).reshape(7, D)
-        for block, (s, e) in zip(up, _pyramid_segments(T)):
-            d[s:e] += block / (e - s)
-    else:
-        raise ValueError(f"unknown pooling kind {kind!r}")
-    return d

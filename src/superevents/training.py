@@ -66,6 +66,8 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
+        if self.lr_decay_every < 1:
+            raise ValueError("lr_decay_every must be >= 1")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
         if self.batch_size < 1:
@@ -232,14 +234,9 @@ class GradcheckReport:
         return "\n".join(lines)
 
 
-def gradcheck(config: TrainConfig, instance_seed: int, h: float = 1e-4,
-              _corrupt_group: str | None = None) -> GradcheckReport:
+def gradcheck(config: TrainConfig, instance_seed: int, h: float = 1e-4) -> GradcheckReport:
     """Analytic vs central-finite-difference gradients on a small random
-    instance, in the widest float precision. Dropout is never applied here.
-
-    ``_corrupt_group`` is test instrumentation: it perturbs that group's
-    analytic gradient so the report must flag it.
-    """
+    instance, in the widest float precision. Dropout is never applied here."""
     rng = np.random.default_rng(instance_seed)
     T = int(rng.integers(5, 21))
     D = int(rng.integers(2, 9))
@@ -259,8 +256,6 @@ def gradcheck(config: TrainConfig, instance_seed: int, h: float = 1e-4,
     labels = rng.integers(0, 2, (T, C)).astype(np.uint8)
 
     _, analytic = loss_and_grads(state, features, labels)
-    if _corrupt_group is not None:
-        analytic[_corrupt_group] = analytic[_corrupt_group] + wide(1e-2)
 
     def loss_at():
         return bce_loss(forward_logits(state, features), labels)

@@ -45,7 +45,6 @@ from superevents.evaluation import average_precision, evaluate
 from superevents.filters import materialize_stack
 from superevents.model import load_checkpoint, save_checkpoint
 from superevents.pooling import (
-    AttentionWeights,
     RelativeConfig,
     pool_attended,
     pool_baseline,
@@ -221,17 +220,19 @@ def test_criterion_4_pooling_oracles():
         stack = random_stack(rng, M, T, N)
         logits = rng.normal(size=(C, M))
 
-        worst["single"] = max(worst["single"],
-                              rel_err(pool_single(stack[0], v), pool_single_oracle(stack[0], v)))
+        worst["single"] = max(
+            worst["single"],
+            rel_err(pool_single(stack[0], v), pool_single_oracle(stack[0], v)),
+            rel_err(pool_single(stack, v), [pool_single_oracle(f, v) for f in stack]),
+        )
         worst["attended"] = max(
             worst["attended"],
-            rel_err(pool_attended(stack, AttentionWeights(logits), v).values,
-                    pool_attended_oracle(stack, logits, v)),
+            rel_err(pool_attended(stack, logits, v), pool_attended_oracle(stack, logits, v)),
         )
         kstack = random_stack(rng, M, L, N)
         worst["relative"] = max(
             worst["relative"],
-            rel_err(pool_relative(kstack, AttentionWeights(logits), v, RelativeConfig(L)),
+            rel_err(pool_relative(kstack, logits, v, RelativeConfig(L)),
                     pool_relative_oracle(kstack, logits, v, L)),
         )
         worst["baseline"] = max(
@@ -307,7 +308,7 @@ def test_criterion_8_relative_variant(bench):
     rng = np.random.default_rng(11)
     v = rng.normal(size=(9, 4))
     one = random_stack(rng, 1, 1, 3)
-    out = pool_relative(one, AttentionWeights(np.zeros((2, 1))), v, RelativeConfig(1))
+    out = pool_relative(one, np.zeros((2, 1)), v, RelativeConfig(1))
     exact = all(
         np.array_equal(out[:, c, n * 4 : (n + 1) * 4], v) for c in range(2) for n in range(3)
     )

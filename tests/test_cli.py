@@ -1,10 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from superevents.cli import main
-from superevents.data import load_manifest
+from superevents.data import SynthConfig, load_manifest
+from superevents.errors import FormatError
 from superevents.model import load_checkpoint
 
 
@@ -143,6 +145,106 @@ def test_eval_dimension_mismatch_is_io_error(synth_dir, tmp_path, capsys):
                                 "--model", str(ckpt)])
     assert code == 2
     assert "do not match" in err
+
+
+def rewrite_header(src, dst, edit):
+    """Copy checkpoint src to dst with edit(header_dict) applied to its JSON header."""
+    raw = src.read_bytes()
+    version, length = struct.unpack("<II", raw[4:12])
+    header = json.loads(raw[12 : 12 + length])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    dst.write_bytes(raw[:4] + struct.pack("<II", version, len(new)) + new
+                    + raw[12 + length :])
+    return header
+
+
+@pytest.fixture
+def baseline_ckpt(synth_dir, tmp_path, capsys):
+    ckpt = tmp_path / "base.ckpt"
+    code, _, _ = run(capsys, [
+        "train", "--data", str(synth_dir / "manifest_train.json"),
+        "--variant", "baseline", "--out", str(ckpt), "--iters", "1",
+        "--batch", "1", "--dropout", "0", "--quiet",
+    ])
+    assert code == 0
+    return ckpt
+
+
+def test_checkpoint_missing_header_key_is_format_error(synth_dir, baseline_ckpt,
+                                                       tmp_path, capsys):
+    keys = list(rewrite_header(baseline_ckpt, tmp_path / "copy.ckpt", lambda h: None))
+    assert "iteration" in keys and "tensors" in keys
+    bad = tmp_path / "bad.ckpt"
+    for key in keys:
+        rewrite_header(baseline_ckpt, bad, lambda h: h.pop(key))
+        with pytest.raises(FormatError, match=key):
+            load_checkpoint(bad)
+        code, _, err = run(capsys, ["eval", "--data", str(synth_dir / "manifest.json"),
+                                    "--model", str(bad)])
+        assert code == 2 and key in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(tensors={"params/classifier_bias": [2]}),
+    lambda h: h["tensors"].append("params/extra"),
+    lambda h: h["tensors"][0].pop("dtype"),
+    lambda h: h["tensors"][0].update(offset=0),
+    lambda h: h["tensors"][0].update(shape="2"),
+    lambda h: h["tensors"][0].update(dtype="no-such-dtype"),
+    lambda h: h["tensors"][0].update(name="grads/classifier_bias"),
+    lambda h: h["tensors"][0].update(name="classifier_bias"),
+], ids=["not-a-list", "not-an-object", "missing-key", "extra-key", "bad-shape",
+        "bad-dtype", "unknown-group", "no-group"])
+def test_checkpoint_bad_tensor_directory_is_format_error(synth_dir, baseline_ckpt,
+                                                         tmp_path, capsys, edit):
+    bad = tmp_path / "bad.ckpt"
+    rewrite_header(baseline_ckpt, bad, edit)
+    with pytest.raises(FormatError):
+        load_checkpoint(bad)
+    code, _, _ = run(capsys, ["eval", "--data", str(synth_dir / "manifest.json"),
+                              "--model", str(bad)])
+    assert code == 2
+
+
+def test_train_lr_decay_every_zero_is_rejected(synth_dir, tmp_path, capsys):
+    code, _, err = run(capsys, [
+        "train", "--data", str(synth_dir / "manifest_train.json"),
+        "--out", str(tmp_path / "x.ckpt"), "--iters", "2", "--batch", "1",
+        "--lr-decay-every", "0", "--quiet",
+    ])
+    assert code == 2
+    assert "lr_decay_every" in err and "Traceback" not in err
+
+
+def test_malformed_manifest_is_format_error(synth_dir, tmp_path, capsys):
+    good = json.loads((synth_dir / "manifest_train.json").read_text())
+    bad = tmp_path / "manifest.json"
+    docs = [[good]]  # not a JSON object
+    for edit in (lambda d: d["videos"][0].pop("length"),
+                 lambda d: d["videos"][0].update(fps=30),
+                 lambda d: d.pop("videos")):
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        docs.append(doc)
+    for doc in docs:
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load_manifest(bad)
+        code, _, _ = run(capsys, ["train", "--data", str(bad), "--out",
+                                  str(tmp_path / "x.ckpt"), "--iters", "1", "--quiet"])
+        assert code == 2
+
+
+def test_synth_config_unknown_field_is_rejected(tmp_path, capsys):
+    fields = {"num_videos": 2, "frame_rate": 30}
+    with pytest.raises(ValueError, match="frame_rate"):
+        SynthConfig.from_dict(fields)
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(fields))
+    code, _, err = run(capsys, ["synth", "--out", str(tmp_path / "out"),
+                                "--config", str(cfg)])
+    assert code == 2 and "frame_rate" in err
 
 
 def test_missing_checkpoint_is_io_error(synth_dir, capsys):

@@ -3,67 +3,41 @@ import math
 import numpy as np
 import pytest
 
-from superevents.detector import (
-    DetectorParams,
-    LabelMask,
-    bce_backward,
-    bce_loss,
-    classify_frames,
-    classify_frames_baseline,
-    detector_backward,
-    detector_backward_baseline,
-    frame_logits,
-    init_detector_params,
-    sigmoid,
-)
-
-LD = np.longdouble
+from superevents.detector import bce_backward, bce_loss, frame_logits, sigmoid
+from superevents.model import VARIANTS, init_model, loss_and_grads, predict_probabilities
 
 
-def make_params(rng, C, D, K, dtype=np.float64):
-    return DetectorParams(
-        weight=rng.normal(0, 0.5, (C, D + K)).astype(dtype),
-        bias=rng.normal(0, 0.5, C).astype(dtype),
-        baseline_weight=rng.normal(0, 0.5, (C, D)).astype(dtype),
-        baseline_bias=rng.normal(0, 0.5, C).astype(dtype),
-    )
-
-
-def rel_err(a, b):
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
-    return np.max(np.abs(np.asarray(a, float) - np.asarray(b, float)) / denom)
+def probs(weight, bias, features, context=None):
+    return sigmoid(frame_logits(weight, bias, features, context))
 
 
 def test_zero_params_give_half():
-    p = DetectorParams(np.zeros((2, 5)), np.zeros(2), np.zeros((2, 3)), np.zeros(2))
     v = np.random.default_rng(0).normal(size=(4, 3))
     S = np.random.default_rng(1).normal(size=(2, 2))
-    np.testing.assert_allclose(classify_frames(p, v, S), 0.5, atol=1e-12)
-    np.testing.assert_allclose(classify_frames_baseline(p, v), 0.5, atol=1e-12)
+    np.testing.assert_allclose(probs(np.zeros((2, 5)), np.zeros(2), v, S), 0.5,
+                               atol=1e-12)
+    np.testing.assert_allclose(probs(np.zeros((2, 3)), np.zeros(2), v), 0.5, atol=1e-12)
 
 
 def test_large_bias_saturates():
-    p = DetectorParams(np.zeros((1, 4)), np.array([30.0]), np.zeros((1, 2)),
-                       np.array([30.0]))
     v = np.ones((3, 2))
     S = np.ones((1, 2))
-    assert np.all(classify_frames(p, v, S) >= 1 - 1e-9)
-    assert np.all(classify_frames_baseline(p, v) >= 1 - 1e-9)
+    assert np.all(probs(np.zeros((1, 4)), np.array([30.0]), v, S) >= 1 - 1e-9)
+    assert np.all(probs(np.zeros((1, 2)), np.array([30.0]), v) >= 1 - 1e-9)
 
 
 def test_explicit_scalar_logit():
     # T=2, C=1, D=1, N=1: logit = w_v*v + w_s*S + b worked out by hand
-    p = DetectorParams(np.array([[2.0, -1.0]]), np.array([0.5]),
-                       np.array([[1.0]]), np.array([0.0]))
     v = np.array([[1.0], [3.0]])
     S = np.array([[0.25]])
     expect0 = 1 / (1 + math.exp(-(2 * 1 - 1 * 0.25 + 0.5)))
     expect1 = 1 / (1 + math.exp(-(2 * 3 - 1 * 0.25 + 0.5)))
-    np.testing.assert_allclose(classify_frames(p, v, S)[:, 0], [expect0, expect1],
-                               rtol=1e-12)
-    # baseline head on the same features
+    got = probs(np.array([[2.0, -1.0]]), np.array([0.5]), v, S)
+    np.testing.assert_allclose(got[:, 0], [expect0, expect1], rtol=1e-12)
+    # the head without context on the same features
     b0 = 1 / (1 + math.exp(-1.0))
-    np.testing.assert_allclose(classify_frames_baseline(p, v)[0, 0], b0, rtol=1e-12)
+    np.testing.assert_allclose(probs(np.array([[1.0]]), np.array([0.0]), v)[0, 0], b0,
+                               rtol=1e-12)
 
 
 def test_zero_context_block_matches_baseline_bitwise():
@@ -71,37 +45,31 @@ def test_zero_context_block_matches_baseline_bitwise():
     D, K, C, T = 4, 6, 3, 5
     w = rng.normal(size=(C, D + K))
     w[:, D:] = 0.0
-    p = DetectorParams(w, rng.normal(size=C), w[:, :D].copy(), np.zeros(C))
-    p.baseline_bias = p.bias.copy()
+    b = rng.normal(size=C)
     v = rng.normal(size=(T, D))
     S = rng.normal(size=(C, K))
-    assert np.array_equal(classify_frames(p, v, S), classify_frames_baseline(p, v))
+    assert np.array_equal(probs(w, b, v, S), probs(w[:, :D].copy(), b, v))
 
 
 def test_outputs_strictly_inside_unit_interval():
     rng = np.random.default_rng(3)
-    p = make_params(rng, 3, 4, 2)
+    w = rng.normal(0, 0.5, (3, 6))
+    b = rng.normal(0, 0.5, 3)
     v = rng.normal(0, 3, size=(10, 4))
-    out = classify_frames(p, v, rng.normal(size=(3, 2)))
+    out = probs(w, b, v, rng.normal(size=(3, 2)))
     assert np.all(out > 0) and np.all(out < 1)
 
 
 def test_shape_mismatches():
     rng = np.random.default_rng(4)
-    p = make_params(rng, 2, 3, 2)
+    w = rng.normal(0, 0.5, (2, 5))
+    b = rng.normal(0, 0.5, 2)
     with pytest.raises(ValueError):
-        classify_frames(p, rng.normal(size=(4, 5)), rng.normal(size=(2, 2)))
+        frame_logits(w, b, rng.normal(size=(4, 5)), rng.normal(size=(2, 2)))
     with pytest.raises(ValueError):
-        classify_frames(p, rng.normal(size=(4, 3)), rng.normal(size=(3, 2)))
+        frame_logits(w, b, rng.normal(size=(4, 3)), rng.normal(size=(3, 2)))
     with pytest.raises(ValueError):
         bce_loss(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-def test_label_mask_validation():
-    with pytest.raises(ValueError):
-        LabelMask(np.array([[0, 2]]))
-    m = LabelMask(np.array([[0, 1], [1, 1]]))
-    assert m.z.shape == (2, 2)
 
 
 def test_bce_zero_logits_is_ln2():
@@ -150,101 +118,24 @@ def test_bce_backward_zero_at_perfect_prediction():
 
 def test_bias_gradient_is_mean_residual():
     rng = np.random.default_rng(8)
-    T, C, D, K = 6, 3, 4, 2
-    p = make_params(rng, C, D, K)
-    v = rng.normal(size=(T, D))
-    S = rng.normal(size=(C, K))
-    z = rng.integers(0, 2, (T, C)).astype(float)
-    _, d_bias, _, _ = detector_backward(p, v, S, z)
-    probs = classify_frames(p, v, S)
-    np.testing.assert_allclose(d_bias, (probs - z).mean(axis=0) / C, rtol=1e-9)
-
-
-def _fd_detector(p, v, S, z, h=1e-5):
-    def loss():
-        return bce_loss(frame_logits(p.weight, p.bias, v, S), z)
-
-    grads = {}
-    for name in ("weight", "bias"):
-        arr = getattr(p, name)
-        g = np.zeros_like(arr)
-        flat, gflat = arr.reshape(-1), g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = loss()
-            flat[i] = orig - h
-            lo = loss()
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2 * h)
-        grads[name] = g
-    for name, arr in (("S", S), ("v", v)):
-        g = np.zeros_like(arr)
-        flat, gflat = arr.reshape(-1), g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = loss()
-            flat[i] = orig - h
-            lo = loss()
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2 * h)
-        grads[name] = g
-    return grads
-
-
-@pytest.mark.parametrize("per_frame", [False, True])
-def test_detector_backward_matches_finite_differences(per_frame):
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        T, C, D, K = 5, 2, 3, 4
-        p = make_params(rng, C, D, K, dtype=LD)
-        v = rng.normal(size=(T, D)).astype(LD)
-        S = rng.normal(size=(T, C, K) if per_frame else (C, K)).astype(LD)
-        z = rng.integers(0, 2, (T, C)).astype(LD)
-        dw, db, dS, dv = detector_backward(p, v, S, z)
-        fd = _fd_detector(p, v, S, z)
-        assert rel_err(dw, fd["weight"]) < 1e-4
-        assert rel_err(db, fd["bias"]) < 1e-4
-        assert rel_err(dS, fd["S"]) < 1e-4
-        assert rel_err(dv, fd["v"]) < 1e-4
-
-
-def test_detector_backward_baseline_matches_fd():
-    rng = np.random.default_rng(10)
     T, C, D = 6, 3, 4
-    p = make_params(rng, C, D, 2, dtype=LD)
-    v = rng.normal(size=(T, D)).astype(LD)
-    z = rng.integers(0, 2, (T, C)).astype(LD)
-    dw, db, dv = detector_backward_baseline(p, v, z)
-
-    def loss():
-        return bce_loss(frame_logits(p.baseline_weight, p.baseline_bias, v), z)
-
-    h = 1e-5
-    for arr, got in ((p.baseline_weight, dw), (p.baseline_bias, db), (v, dv)):
-        fd = np.zeros_like(arr)
-        flat, fdflat = arr.reshape(-1), fd.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = loss()
-            flat[i] = orig - h
-            lo = loss()
-            flat[i] = orig
-            fdflat[i] = (hi - lo) / (2 * h)
-        assert rel_err(got, fd) < 1e-4
+    v = rng.normal(size=(T, D))
+    z = rng.integers(0, 2, (T, C)).astype(np.uint8)
+    for variant in VARIANTS:
+        state = init_model(variant, D, C, ["a", "b", "c"], 2, 2, 3, rng, dtype=np.float64)
+        state.params["classifier_bias"] += rng.normal(0, 0.5, C)
+        _, grads = loss_and_grads(state, v, z)
+        residual = predict_probabilities(state, v) - z
+        np.testing.assert_allclose(grads["classifier_bias"], residual.mean(axis=0) / C,
+                                   rtol=1e-9)
 
 
 def test_init_scales_and_zero_bias():
     rng = np.random.default_rng(11)
-    p = init_detector_params(rng, feature_dim=9, ctx_dim=27, num_classes=5)
-    assert p.weight.shape == (5, 36)
-    assert np.all(np.abs(p.weight) <= (1 / 36) ** 0.5)
-    assert np.all(np.abs(p.baseline_weight) <= (1 / 9) ** 0.5)
-    assert not p.bias.any() and not p.baseline_bias.any()
-
-
-def test_rejects_nonfinite_params():
-    with pytest.raises(ValueError):
-        DetectorParams(np.array([[np.nan]]), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
+    for variant, width in (("pyramid3", 9 + 7 * 9), ("attended", 9 + 3 * 9),
+                           ("baseline", 9)):
+        state = init_model(variant, 9, 5, list("abcde"), 3, 2, 3, rng)
+        w = state.params["classifier_weight"]
+        assert w.shape == (5, width) and w.dtype == np.float32
+        assert np.all(np.abs(w) <= (1 / width) ** 0.5)
+        assert not state.params["classifier_bias"].any()

@@ -5,14 +5,8 @@ import pytest
 
 from oracles import cauchy_column_oracle, rel_err
 
-from superevents.filters import (
-    FilterParams,
-    filter_backward,
-    init_filter_params,
-    materialize_filter,
-    materialize_stack,
-    stack_backward,
-)
+from superevents.filters import materialize_stack, stack_backward
+from superevents.model import init_model
 
 LD = np.longdouble
 
@@ -39,18 +33,18 @@ def fd_gradient(centers, widths, T, upstream, h=1e-4):
 
 
 def test_midpoint_center_and_max_scale():
-    f = materialize_filter(FilterParams(np.array([0.0]), np.array([0.0])), 5)
-    assert f.frame_centers[0] == pytest.approx(2.0, abs=1e-12)
-    assert f.scales[0] == pytest.approx(math.e, abs=1e-12)
-    assert f.values[:, 0].sum() == pytest.approx(1.0, abs=1e-9)
+    values, centers, scales, _ = materialize_stack(np.array([0.0]), np.array([0.0]), 5)
+    assert centers[0] == pytest.approx(2.0, abs=1e-12)
+    assert scales[0] == pytest.approx(math.e, abs=1e-12)
+    assert values[:, 0].sum() == pytest.approx(1.0, abs=1e-9)
     # symmetric about the midpoint
-    np.testing.assert_allclose(f.values[:, 0], f.values[::-1, 0], rtol=1e-12)
+    np.testing.assert_allclose(values[:, 0], values[::-1, 0], rtol=1e-12)
 
 
 def test_saturated_center_lands_on_last_frame():
-    f = materialize_filter(FilterParams(np.array([20.0]), np.array([3.0])), 10)
-    assert f.frame_centers[0] == pytest.approx(9.0, abs=1e-6)
-    col = f.values[:, 0]
+    values, centers, _, _ = materialize_stack(np.array([20.0]), np.array([3.0]), 10)
+    assert centers[0] == pytest.approx(9.0, abs=1e-6)
+    col = values[:, 0]
     assert int(np.argmax(col)) == 9
     assert col[-3:].sum() > col[:3].sum()
     assert col[-3:].sum() > 0.5
@@ -58,33 +52,33 @@ def test_saturated_center_lands_on_last_frame():
 
 def test_scalar_oracle_column():
     # frozen from an extended-precision evaluation of the construction
-    f = materialize_filter(
-        FilterParams(np.array([0.5], dtype=np.float64), np.array([0.3], dtype=np.float64)), 4
+    values, centers, scales, norms = materialize_stack(
+        np.array([0.5], dtype=np.float64), np.array([0.3], dtype=np.float64), 4
     )
-    assert f.frame_centers[0] == pytest.approx(2.1931757358900146, rel=1e-12)
-    assert f.scales[0] == pytest.approx(1.5179713041865228, rel=1e-12)
+    assert centers[0] == pytest.approx(2.1931757358900146, rel=1e-12)
+    assert scales[0] == pytest.approx(1.5179713041865228, rel=1e-12)
     expected = [
         0.11970299992177812,
         0.22843871243603666,
         0.36368922540714298,
         0.28816906223504224,
     ]
-    np.testing.assert_allclose(f.values[:, 0], expected, rtol=1e-10)
+    np.testing.assert_allclose(values[:, 0], expected, rtol=1e-10)
     xh, gh, col = cauchy_column_oracle(0.5, 0.3, 4)
-    np.testing.assert_allclose(f.values[:, 0], col, rtol=1e-12)
-    assert f.norms[0] == pytest.approx(0.5673866637035466, rel=1e-10)
+    np.testing.assert_allclose(values[:, 0], col, rtol=1e-12)
+    assert norms[0] == pytest.approx(0.5673866637035466, rel=1e-10)
 
 
 def test_rejects_bad_inputs():
-    p = FilterParams(np.array([0.0]), np.array([0.0]))
+    zero = np.array([0.0])
     with pytest.raises(ValueError):
-        materialize_filter(p, 0)
+        materialize_stack(zero, zero, 0)
     with pytest.raises(ValueError):
-        materialize_filter(FilterParams(np.array([np.nan]), np.array([0.0])), 4)
+        materialize_stack(np.array([np.nan]), zero, 4)
     with pytest.raises(ValueError):
-        materialize_filter(FilterParams(np.array([0.0]), np.array([np.inf])), 4)
+        materialize_stack(zero, np.array([np.inf]), 4)
     with pytest.raises(ValueError):
-        filter_backward(p, 6, np.zeros((5, 1)))
+        stack_backward(zero, zero, 6, np.zeros((5, 1)))
 
 
 def test_normalization_and_bounds_random():
@@ -92,12 +86,12 @@ def test_normalization_and_bounds_random():
     for _ in range(300):
         n = int(rng.integers(1, 5))
         T = int(rng.integers(1, 200))
-        p = FilterParams(rng.normal(0, 3, n), rng.normal(0, 3, n))
-        f = materialize_filter(p, T)
-        np.testing.assert_allclose(f.values.sum(axis=0), 1.0, atol=1e-6)
-        assert np.all(f.values > 0)
-        assert np.all(f.frame_centers >= 0) and np.all(f.frame_centers <= T - 1)
-        assert np.all(f.scales > 1 / math.e) and np.all(f.scales <= math.e)
+        values, centers, scales, _ = materialize_stack(rng.normal(0, 3, n),
+                                                       rng.normal(0, 3, n), T)
+        np.testing.assert_allclose(values.sum(axis=0), 1.0, atol=1e-6)
+        assert np.all(values > 0)
+        assert np.all(centers >= 0) and np.all(centers <= T - 1)
+        assert np.all(scales > 1 / math.e) and np.all(scales <= math.e)
 
 
 def test_peak_at_rounded_center_when_narrow():
@@ -106,26 +100,27 @@ def test_peak_at_rounded_center_when_narrow():
         T = int(rng.integers(2, 60))
         x = float(rng.normal(0, 2))
         gamma = float(rng.choice([-6.0, 6.0]))
-        f = materialize_filter(FilterParams(np.array([x]), np.array([gamma])), T)
-        expect = min(max(round(float(f.frame_centers[0])), 0), T - 1)
-        assert int(np.argmax(f.values[:, 0])) == expect
+        values, centers, _, _ = materialize_stack(np.array([x]), np.array([gamma]), T)
+        expect = min(max(round(float(centers[0])), 0), T - 1)
+        assert int(np.argmax(values[:, 0])) == expect
 
 
 def test_backward_zero_upstream():
-    p = FilterParams(np.array([0.3, -0.2]), np.array([0.1, 0.4]))
-    g = filter_backward(p, 9, np.zeros((9, 2)))
-    assert np.all(g.centers == 0) and np.all(g.widths == 0)
+    dc, dw = stack_backward(np.array([0.3, -0.2]), np.array([0.1, 0.4]), 9,
+                            np.zeros((9, 2)))
+    assert np.all(dc == 0) and np.all(dw == 0)
 
 
 def test_backward_constant_upstream_is_zero():
     # each column sums to 1 for every parameter value, so a constant
     # functional of a column has zero parameter gradient
     rng = np.random.default_rng(3)
-    p = FilterParams(rng.normal(size=3).astype(LD), rng.normal(size=3).astype(LD))
+    centers = rng.normal(size=3).astype(LD)
+    widths = rng.normal(size=3).astype(LD)
     upstream = np.broadcast_to(np.array([2.5, -1.0, 7.0], dtype=LD), (12, 3)).copy()
-    g = filter_backward(p, 12, upstream)
-    np.testing.assert_allclose(np.asarray(g.centers, float), 0.0, atol=1e-12)
-    np.testing.assert_allclose(np.asarray(g.widths, float), 0.0, atol=1e-12)
+    dc, dw = stack_backward(centers, widths, 12, upstream)
+    np.testing.assert_allclose(np.asarray(dc, float), 0.0, atol=1e-12)
+    np.testing.assert_allclose(np.asarray(dw, float), 0.0, atol=1e-12)
 
 
 def test_backward_matches_finite_differences():
@@ -143,9 +138,9 @@ def test_backward_matches_finite_differences():
 
 
 def test_backward_at_width_kink_uses_zero_subgradient():
-    p = FilterParams(np.array([0.2], dtype=LD), np.array([0.0], dtype=LD))
-    g = filter_backward(p, 12, np.random.default_rng(0).normal(size=(12, 1)).astype(LD))
-    assert float(g.widths[0]) == 0.0
+    _, dw = stack_backward(np.array([0.2], dtype=LD), np.array([0.0], dtype=LD), 12,
+                           np.random.default_rng(0).normal(size=(12, 1)).astype(LD))
+    assert float(dw[0]) == 0.0
 
 
 def test_stack_matches_per_filter():
@@ -154,21 +149,29 @@ def test_stack_matches_per_filter():
     widths = rng.normal(size=(4, 3))
     values, fcs, scs, norms = materialize_stack(centers, widths, 17)
     assert values.shape == (4, 17, 3)
+    upstream = rng.normal(size=(4, 17, 3))
+    dc, dw = stack_backward(centers, widths, 17, upstream)
     for m in range(4):
-        f = materialize_filter(FilterParams(centers[m], widths[m]), 17)
-        np.testing.assert_allclose(values[m], f.values, rtol=1e-12)
-        np.testing.assert_allclose(fcs[m], f.frame_centers, rtol=1e-12)
+        one = materialize_stack(centers[m], widths[m], 17)
+        for got, want in zip((values, fcs, scs, norms), one):
+            np.testing.assert_allclose(got[m], want, rtol=1e-12)
+        dcm, dwm = stack_backward(centers[m], widths[m], 17, upstream[m])
+        np.testing.assert_allclose(dc[m], dcm, rtol=1e-12)
+        np.testing.assert_allclose(dw[m], dwm, rtol=1e-12)
 
 
 def test_init_ranges_and_dtype():
     rng = np.random.default_rng(0)
-    p = init_filter_params(rng, 3)
-    assert p.centers.dtype == np.float32
-    assert np.all(np.abs(p.centers) <= 0.5) and np.all(np.abs(p.widths) <= 0.5)
+    for variant, m in (("single", 4), ("attended", 5), ("relative", 5)):
+        state = init_model(variant, 6, 4, list("abcd"), 3, 5, 7, rng)
+        for name in ("filter_centers", "filter_widths"):
+            p = state.params[name]
+            assert p.shape == (m, 3) and p.dtype == np.float32
+            assert np.all(np.abs(p) <= 0.5)
 
 
 def test_centers_rescale_proportionally_with_length():
-    p = FilterParams(np.array([0.37, -0.8]), np.array([0.1, 0.2]))
-    a = materialize_filter(p, 12)
-    b = materialize_filter(p, 47)
-    np.testing.assert_allclose(a.frame_centers / 11, b.frame_centers / 46, rtol=1e-12)
+    centers, widths = np.array([0.37, -0.8]), np.array([0.1, 0.2])
+    _, a, _, _ = materialize_stack(centers, widths, 12)
+    _, b, _, _ = materialize_stack(centers, widths, 47)
+    np.testing.assert_allclose(a / 11, b / 46, rtol=1e-12)

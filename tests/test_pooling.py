@@ -5,18 +5,16 @@ import pytest
 
 from oracles import (pool_attended_oracle, pool_relative_oracle,
                      pool_single_oracle, pyramid_oracle, rel_err)
-from superevents.filters import FilterParams, materialize_filter, materialize_stack
+from superevents.filters import materialize_stack
 from superevents.pooling import (
-    AttentionWeights,
     RelativeConfig,
+    _relative_grads,
+    _relative_state,
     pool_attended,
     pool_attended_backward,
     pool_baseline,
-    pool_baseline_backward,
     pool_relative,
-    pool_relative_backward,
     pool_single,
-    pool_single_backward,
     soft_attention,
     soft_attention_backward,
 )
@@ -121,6 +119,8 @@ def test_pool_single_explicit_product():
 def test_pool_single_shape_mismatch():
     with pytest.raises(ValueError):
         pool_single(np.ones((4, 1)), np.ones((5, 2)))
+    with pytest.raises(ValueError):
+        pool_single(np.ones((3, 4, 1)), np.ones((5, 2)))
 
 
 def test_pool_single_matches_oracle_random():
@@ -130,12 +130,22 @@ def test_pool_single_matches_oracle_random():
         F = random_stack(rng, 1, T, N)[0]
         v = rng.normal(size=(T, D))
         assert rel_err(pool_single(F, v), pool_single_oracle(F, v)) < 1e-9
+        # the per-class stack form the single variant trains through
+        stack = np.stack([F, F[::-1]])
+        expected = np.stack([pool_single_oracle(f, v) for f in stack])
+        assert rel_err(pool_single(stack, v), expected) < 1e-9
 
 
-def test_pool_single_accepts_materialized_filter():
-    f = materialize_filter(FilterParams(np.array([0.1]), np.array([0.2])), 7)
-    v = np.random.default_rng(4).normal(size=(7, 3))
-    np.testing.assert_allclose(pool_single(f, v), pool_single(f.values, v))
+def test_pool_single_stack_matches_per_filter():
+    # a (C, T, N) stack pools each class with its own filter
+    rng = np.random.default_rng(4)
+    stack = random_stack(rng, 4, 7, 2)
+    v = rng.normal(size=(7, 3))
+    out = pool_single(stack, v)
+    assert out.shape == (4, 2 * 3)
+    for c in range(4):
+        np.testing.assert_allclose(out[c], pool_single(stack[c], v), rtol=1e-12)
+        assert rel_err(out[c], pool_single_oracle(stack[c], v)) < 1e-9
 
 
 def test_convexity_bound():
@@ -158,9 +168,9 @@ def test_attended_saturated_attention_selects_filter():
     stack = random_stack(rng, 3, 9, 2)
     v = rng.normal(size=(9, 4))
     logits = np.array([[40.0, 0.0, 0.0], [0.0, 0.0, 40.0]])
-    rep = pool_attended(stack, AttentionWeights(logits), v)
-    np.testing.assert_allclose(rep.values[0], pool_single(stack[0], v), atol=1e-9)
-    np.testing.assert_allclose(rep.values[1], pool_single(stack[2], v), atol=1e-9)
+    rep = pool_attended(stack, logits, v)
+    np.testing.assert_allclose(rep[0], pool_single(stack[0], v), atol=1e-9)
+    np.testing.assert_allclose(rep[1], pool_single(stack[2], v), atol=1e-9)
 
 
 def test_attended_identical_filters_ignore_attention():
@@ -168,9 +178,9 @@ def test_attended_identical_filters_ignore_attention():
     one = random_stack(rng, 1, 6, 2)[0]
     stack = np.stack([one, one])
     v = rng.normal(size=(6, 3))
-    rep = pool_attended(stack, AttentionWeights(rng.normal(size=(4, 2))), v)
+    rep = pool_attended(stack, rng.normal(size=(4, 2)), v)
     for c in range(4):
-        np.testing.assert_allclose(rep.values[c], pool_single(one, v), rtol=1e-9)
+        np.testing.assert_allclose(rep[c], pool_single(one, v), rtol=1e-9)
 
 
 def test_attended_explicit_scalar_case():
@@ -182,9 +192,9 @@ def test_attended_explicit_scalar_case():
     p1 = 0.2 * 1 + 0.3 * 2 + 0.5 * 4  # 2.8
     p2 = 0.6 * 1 + 0.3 * 2 + 0.1 * 4  # 1.6
     a1 = math.exp(1) / (math.exp(1) + 1)
-    rep = pool_attended(np.stack([f1, f2]), AttentionWeights(logits), v)
-    np.testing.assert_allclose(rep.values[0, 0], 0.5 * p1 + 0.5 * p2, rtol=1e-12)
-    np.testing.assert_allclose(rep.values[1, 0], a1 * p1 + (1 - a1) * p2, rtol=1e-12)
+    rep = pool_attended(np.stack([f1, f2]), logits, v)
+    np.testing.assert_allclose(rep[0, 0], 0.5 * p1 + 0.5 * p2, rtol=1e-12)
+    np.testing.assert_allclose(rep[1, 0], a1 * p1 + (1 - a1) * p2, rtol=1e-12)
 
 
 def test_attended_matches_oracle_random():
@@ -195,17 +205,17 @@ def test_attended_matches_oracle_random():
         stack = random_stack(rng, M, T, N)
         logits = rng.normal(size=(C, M))
         v = rng.normal(size=(T, D))
-        rep = pool_attended(stack, AttentionWeights(logits), v)
-        assert rel_err(rep.values, pool_attended_oracle(stack, logits, v)) < 1e-9
+        rep = pool_attended(stack, logits, v)
+        assert rel_err(rep, pool_attended_oracle(stack, logits, v)) < 1e-9
 
 
 def test_attended_mismatched_counts():
     rng = np.random.default_rng(9)
     stack = random_stack(rng, 3, 5, 2)
     with pytest.raises(ValueError):
-        pool_attended(stack, AttentionWeights(np.zeros((2, 2))), rng.normal(size=(5, 2)))
+        pool_attended(stack, np.zeros((2, 2)), rng.normal(size=(5, 2)))
     with pytest.raises(ValueError):
-        pool_attended(stack, AttentionWeights(np.zeros((2, 3))), rng.normal(size=(6, 2)))
+        pool_attended(stack, np.zeros((2, 3)), rng.normal(size=(6, 2)))
 
 
 def test_attended_backward_zero_upstream():
@@ -213,8 +223,8 @@ def test_attended_backward_zero_upstream():
     stack = random_stack(rng, 2, 5, 2)
     logits = rng.normal(size=(3, 2))
     v = rng.normal(size=(5, 3))
-    ds, dl, dv = pool_attended_backward(stack, logits, v, np.zeros((3, 2 * 3)))
-    assert not ds.any() and not dl.any() and not dv.any()
+    ds, dl = pool_attended_backward(stack, logits, v, np.zeros((3, 2 * 3)))
+    assert not ds.any() and not dl.any()
 
 
 def fd_loss_check(loss, params, analytic, h=1e-4):
@@ -243,13 +253,13 @@ def test_attended_backward_matches_finite_differences():
         v = rng.normal(size=(T, D)).astype(LD)
         upstream = rng.normal(size=(C, N * D)).astype(LD)
 
-        ds, dl, dv = pool_attended_backward(stack, logits, v, upstream)
+        ds, dl = pool_attended_backward(stack, logits, v, upstream)
 
         def loss():
-            return float((upstream * pool_attended(stack, logits, v).values).sum())
+            return float((upstream * pool_attended(stack, logits, v)).sum())
 
-        fd_loss_check(loss, {"stack": stack, "logits": logits, "v": v},
-                      {"stack": ds, "logits": dl, "v": dv})
+        fd_loss_check(loss, {"stack": stack, "logits": logits},
+                      {"stack": ds, "logits": dl})
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +271,7 @@ def test_relative_length_one_is_identity():
     stack = random_stack(rng, 2, 1, 3)  # L=1 kernels, each column normalizes to 1
     np.testing.assert_allclose(stack, 1.0, atol=1e-12)
     v = rng.normal(size=(6, 2))
-    out = pool_relative(stack, AttentionWeights(rng.normal(size=(4, 2))), v,
-                        RelativeConfig(1))
+    out = pool_relative(stack, rng.normal(size=(4, 2)), v, RelativeConfig(1))
     for t in range(6):
         for c in range(4):
             np.testing.assert_allclose(out[t, c].reshape(3, 2), np.tile(v[t], (3, 1)),
@@ -275,10 +284,10 @@ def test_relative_constant_input_matches_global():
     stack = random_stack(rng, 2, L, 2)
     logits = rng.normal(size=(3, 2))
     v = np.tile(np.array([[1.5, -2.0, 0.25]]), (9, 1))
-    out = pool_relative(stack, AttentionWeights(logits), v, RelativeConfig(L))
-    glob = pool_attended(stack, AttentionWeights(logits), v[:L], )
+    out = pool_relative(stack, logits, v, RelativeConfig(L))
+    glob = pool_attended(stack, logits, v[:L])
     for t in range(2, 7):  # interior frames: window never touches the padding
-        np.testing.assert_allclose(out[t], glob.values, rtol=1e-9)
+        np.testing.assert_allclose(out[t], glob, rtol=1e-9)
 
 
 def test_relative_explicit_edges():
@@ -287,7 +296,7 @@ def test_relative_explicit_edges():
     stack = kernel[None]  # M=1, L=3, N=1
     v = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
     logits = np.zeros((1, 1))
-    out = pool_relative(stack, AttentionWeights(logits), v, RelativeConfig(3))
+    out = pool_relative(stack, logits, v, RelativeConfig(3))
     expected = [
         0.2 * 0 + 0.5 * 1 + 0.3 * 2,
         0.2 * 1 + 0.5 * 2 + 0.3 * 3,
@@ -316,7 +325,7 @@ def test_relative_matches_oracle_random():
         stack = random_stack(rng, M, L, N)
         logits = rng.normal(size=(C, M))
         v = rng.normal(size=(T, D))
-        out = pool_relative(stack, AttentionWeights(logits), v, RelativeConfig(L))
+        out = pool_relative(stack, logits, v, RelativeConfig(L))
         assert rel_err(out, pool_relative_oracle(stack, logits, v, L)) < 1e-9
 
 
@@ -332,13 +341,14 @@ def test_relative_backward_matches_finite_differences():
         upstream = rng.normal(size=(T, C, N * D)).astype(LD)
         cfg = RelativeConfig(L)
 
-        ds, dl, dv = pool_relative_backward(stack, logits, v, cfg, upstream)
+        _, cache = _relative_state(stack, logits, v, cfg)
+        ds, dl = _relative_grads(cache, upstream)
 
         def loss():
             return float((upstream * pool_relative(stack, logits, v, cfg)).sum())
 
-        fd_loss_check(loss, {"stack": stack, "logits": logits, "v": v},
-                      {"stack": ds, "logits": dl, "v": dv})
+        fd_loss_check(loss, {"stack": stack, "logits": logits},
+                      {"stack": ds, "logits": dl})
 
 
 # ---------------------------------------------------------------------------
@@ -382,26 +392,3 @@ def test_baseline_rejects_empty_and_unknown():
         pool_baseline("mean", np.zeros((0, 3)))
     with pytest.raises(ValueError):
         pool_baseline("median", np.ones((3, 2)))
-
-
-def test_baseline_backward_mean_and_pyramid_fd():
-    rng = np.random.default_rng(17)
-    for kind in ("mean", "pyramid3"):
-        for _ in range(20):
-            T = int(rng.integers(1, 9))
-            D = int(rng.integers(1, 4))
-            v = rng.normal(size=(T, D)).astype(LD)
-            width = D if kind == "mean" else 7 * D
-            upstream = rng.normal(size=width).astype(LD)
-            dv = pool_baseline_backward(kind, v, upstream)
-
-            def loss():
-                return float((upstream * pool_baseline(kind, v)).sum())
-
-            fd_loss_check(loss, {"v": v}, {"v": dv})
-
-
-def test_baseline_backward_max_routes_to_argmax():
-    v = np.array([[1.0, 5.0], [3.0, 2.0]])
-    dv = pool_baseline_backward("max", v, np.array([1.0, 2.0]))
-    np.testing.assert_allclose(dv, [[0.0, 2.0], [1.0, 0.0]])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from superevents import training
 from superevents.data import Dataset, PairedRule, SynthConfig, generate_synthetic, load_dataset
 from superevents.errors import NumericError
-from superevents.model import ModelState, load_checkpoint, save_checkpoint
+from superevents.model import ModelState, load_checkpoint, loss_and_grads, save_checkpoint
 from superevents.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -94,6 +95,8 @@ def test_config_validation():
         TrainConfig(dropout=1.0).validate()
     with pytest.raises(ValueError):
         TrainConfig(lr=-0.1).validate()
+    with pytest.raises(ValueError):
+        TrainConfig(lr_decay_every=0).validate()
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0).validate()
     with pytest.raises(ValueError):
@@ -218,9 +221,14 @@ def test_gradcheck_passes_default_instance():
     }
 
 
-def test_gradcheck_corrupted_backward_fails_named_group():
-    report = gradcheck(quick_config(), instance_seed=0,
-                       _corrupt_group="filter_widths")
+def test_gradcheck_corrupted_backward_fails_named_group(monkeypatch):
+    def corrupted(state, features, labels):
+        loss, grads = loss_and_grads(state, features, labels)
+        grads["filter_widths"] = grads["filter_widths"] + 1e-2
+        return loss, grads
+
+    monkeypatch.setattr(training, "loss_and_grads", corrupted)
+    report = gradcheck(quick_config(), instance_seed=0)
     assert not report.passed
     assert report.failing_groups() == ["filter_widths"]
     assert "filter_widths" in report.format()
