@@ -111,6 +111,8 @@ def _cmd_synth(args) -> int:
     cfg_fields = {}
     if args.config:
         cfg_fields = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(cfg_fields, dict):
+            raise FormatError(f"{args.config}: synth config must be a JSON object")
     overrides = {
         "seed": args.seed,
         "num_videos": args.videos,

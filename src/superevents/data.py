@@ -333,6 +333,14 @@ class SynthConfig:
             raise ValueError(f"unknown SynthConfig field(s): {', '.join(unknown)}")
         d = dict(d)
         if "rules" in d:
+            rules = d["rules"]
+            if not (isinstance(rules, list) and all(
+                    isinstance(r, dict) and {"trigger_a", "trigger_b"} <= set(r)
+                    for r in rules)):
+                raise FormatError(
+                    "SynthConfig rules must be a list of objects with trigger_a "
+                    "and trigger_b"
+                )
             d["rules"] = tuple(
                 PairedRule(
                     trigger_a=int(r["trigger_a"]),
@@ -340,7 +348,7 @@ class SynthConfig:
                     gap_range=tuple(r.get("gap_range", (5, 15))),
                     band=tuple(r.get("band", (0.0, 1.0))),
                 )
-                for r in d["rules"]
+                for r in rules
             )
         for key in ("t_range", "event_len_range", "background_events"):
             if key in d:

@@ -1,9 +1,11 @@
 """Per-frame multi-label sigmoid scores and the detector's loss.
 
 Class c is scored from the concatenation [v_t, S_c] of the frame feature and
-that class's context vector (per-class, or per-frame for the relative
-variant), or from the frame feature alone when there is no context; the head
-carries a bias. The loss is the mean binary cross-entropy over all
+that class's context vector, or from the frame feature alone when there is no
+context; the head carries a bias. The relative variant's per-frame context
+never reaches this module: its context weights are folded into its kernels
+(see pooling.pool_relative), which return the (T, C) context scores that are
+added to the frame-only logits. The loss is the mean binary cross-entropy over all
 (frame, class) cells, computed from logits in the fused log-sum-exp form
 (never log of a saturated sigmoid), with logits clamped to [-30, 30].
 
@@ -37,10 +39,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def frame_logits(weight: np.ndarray, bias: np.ndarray, features: np.ndarray,
                  context: np.ndarray | None = None) -> np.ndarray:
-    """Linear scores (T, C); context is None, per-class (C, K) or
-    per-frame (T, C, K)."""
+    """Linear scores (T, C); context is None or per-class (C, K)."""
     features = np.asarray(features)
-    T = features.shape[0]
     d = features.shape[1]
     if context is None:
         if weight.shape[1] != d:
@@ -48,25 +48,19 @@ def frame_logits(weight: np.ndarray, bias: np.ndarray, features: np.ndarray,
         return features @ weight.T + bias
 
     context = np.asarray(context)
-    if weight.shape[1] != d + context.shape[-1]:
+    if context.ndim != 2:
+        raise ValueError("context must be a 2-D (C, K) array")
+    if weight.shape[1] != d + context.shape[1]:
         raise ValueError(
             f"weight width {weight.shape[1]} != feature {d} + context "
-            f"{context.shape[-1]}"
+            f"{context.shape[1]}"
         )
+    if context.shape[0] != weight.shape[0]:
+        raise ValueError("context rows must match the class count")
     w_frame = weight[:, :d]
     w_ctx = weight[:, d:]
     logits = features @ w_frame.T + bias
-    if context.ndim == 2:
-        if context.shape[0] != weight.shape[0]:
-            raise ValueError("context rows must match the class count")
-        logits = logits + (w_ctx * context).sum(axis=1)
-    elif context.ndim == 3:
-        if context.shape[0] != T or context.shape[1] != weight.shape[0]:
-            raise ValueError("per-frame context must be (T, C, K)")
-        logits = logits + np.einsum("tck,ck->tc", context, w_ctx, optimize=True)
-    else:
-        raise ValueError("context must be 2-D or 3-D")
-    return logits
+    return logits + (w_ctx * context).sum(axis=1)
 
 
 def _clamped(logits: np.ndarray):

@@ -102,6 +102,22 @@ def context_dim(variant: str, feature_dim: int, num_distributions: int) -> int:
     return num_distributions * feature_dim
 
 
+def _param_shapes(variant: str, feature_dim: int, num_classes: int,
+                  num_distributions: int, num_filters: int) -> dict[str, tuple]:
+    """Shape of every parameter tensor, in init_model's order; the filter
+    dims are a ModelState's (0 for variants without filters)."""
+    shapes = {}
+    if variant in FILTER_VARIANTS:
+        shapes["filter_centers"] = (num_filters, num_distributions)
+        shapes["filter_widths"] = (num_filters, num_distributions)
+    if variant in ("attended", "relative"):
+        shapes["attention_logits"] = (num_classes, num_filters)
+    k = context_dim(variant, feature_dim, num_distributions)
+    shapes["classifier_weight"] = (num_classes, feature_dim + k)
+    shapes["classifier_bias"] = (num_classes,)
+    return shapes
+
+
 def init_model(variant: str, feature_dim: int, num_classes: int,
                class_names: list[str], num_distributions: int, num_filters: int,
                kernel_length: int, rng: np.random.Generator,
@@ -114,19 +130,16 @@ def init_model(variant: str, feature_dim: int, num_classes: int,
     n = num_distributions if variant in FILTER_VARIANTS else 0
     m = {"single": num_classes, "attended": num_filters,
          "relative": num_filters}.get(variant, 0)
-    k = context_dim(variant, feature_dim, num_distributions)
 
     params: dict[str, np.ndarray] = {}
-    if variant in FILTER_VARIANTS:
-        params["filter_centers"] = rng.uniform(-0.5, 0.5, (m, n)).astype(dtype)
-        params["filter_widths"] = rng.uniform(-0.5, 0.5, (m, n)).astype(dtype)
-    if variant in ("attended", "relative"):
-        params["attention_logits"] = np.zeros((num_classes, m), dtype=dtype)
-    a = (1.0 / (feature_dim + k)) ** 0.5
-    params["classifier_weight"] = rng.uniform(
-        -a, a, (num_classes, feature_dim + k)
-    ).astype(dtype)
-    params["classifier_bias"] = np.zeros(num_classes, dtype=dtype)
+    for name, shape in _param_shapes(variant, feature_dim, num_classes, n, m).items():
+        if name.startswith("filter_"):
+            params[name] = rng.uniform(-0.5, 0.5, shape).astype(dtype)
+        elif name == "classifier_weight":
+            a = (1.0 / shape[1]) ** 0.5
+            params[name] = rng.uniform(-a, a, shape).astype(dtype)
+        else:  # attention logits and bias start at zero
+            params[name] = np.zeros(shape, dtype=dtype)
 
     return ModelState(
         variant=variant,
@@ -144,32 +157,36 @@ def init_model(variant: str, feature_dim: int, num_classes: int,
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def _context(params, variant, kernel_length, features):
-    """Context tensor fed to the classifier: None, (K,) broadcast per class,
-    (C, K), or per-frame (T, C, K)."""
+def _context(params, variant, features):
+    """Per-class context (C, K) fed to the classifier, or None for baseline.
+    Not used by relative, whose context weights are folded into its kernels
+    (pooling.pool_relative)."""
     if variant == "baseline":
         return None
     if variant in baseline_context_blocks:
         ctx = pooling.pool_baseline(variant, features)
         return np.broadcast_to(ctx, (params["classifier_weight"].shape[0],) + ctx.shape)
     stack, _, _, _ = materialize_stack(
-        params["filter_centers"], params["filter_widths"],
-        kernel_length if variant == "relative" else features.shape[0],
+        params["filter_centers"], params["filter_widths"], features.shape[0]
     )
     if variant == "single":
         return pooling.pool_single(stack, features)
-    if variant == "attended":
-        return pooling.pool_attended(stack, params["attention_logits"], features)
-    return pooling.pool_relative(stack, params["attention_logits"], features,
-                                 RelativeConfig(kernel_length))
+    return pooling.pool_attended(stack, params["attention_logits"], features)
 
 
 def forward_logits(state: ModelState, features: np.ndarray) -> np.ndarray:
     """Per-frame class scores (T, C) before the sigmoid."""
     p = state.params
-    ctx = _context(p, state.variant, state.kernel_length, features)
-    return detector.frame_logits(p["classifier_weight"], p["classifier_bias"],
-                                 features, ctx)
+    w, b = p["classifier_weight"], p["classifier_bias"]
+    if state.variant != "relative":
+        return detector.frame_logits(w, b, features,
+                                     _context(p, state.variant, features))
+    d = features.shape[1]
+    stack, _, _, _ = materialize_stack(p["filter_centers"], p["filter_widths"],
+                                       state.kernel_length)
+    scores = pooling.pool_relative(stack, p["attention_logits"], w[:, d:], features,
+                                   RelativeConfig(state.kernel_length))
+    return detector.frame_logits(w[:, :d], b, features) + scores
 
 
 def predict_probabilities(state: ModelState, features: np.ndarray) -> np.ndarray:
@@ -182,61 +199,50 @@ def loss_and_grads(state: ModelState, features: np.ndarray, labels: np.ndarray):
     variant = state.variant
     features = np.asarray(features)
     T, D = features.shape
-    rel_cache = None
-    stack = None
+    w, b = p["classifier_weight"], p["classifier_bias"]
     if variant == "relative":
-        stack, _, _, _ = materialize_stack(
-            p["filter_centers"], p["filter_widths"], state.kernel_length
+        length = state.kernel_length
+        stack, _, _, _ = materialize_stack(p["filter_centers"], p["filter_widths"],
+                                           length)
+        scores, rel_cache = pooling._relative_state(
+            stack, p["attention_logits"], w[:, D:], features, RelativeConfig(length)
         )
-        ctx, rel_cache = pooling._relative_state(
-            stack, p["attention_logits"], features, RelativeConfig(state.kernel_length)
-        )
+        logits = detector.frame_logits(w[:, :D], b, features) + scores
     else:
-        ctx = _context(p, variant, state.kernel_length, features)
-
-    logits = detector.frame_logits(p["classifier_weight"], p["classifier_bias"],
-                                   features, ctx)
+        ctx = _context(p, variant, features)
+        logits = detector.frame_logits(w, b, features, ctx)
     loss = detector.bce_loss(logits, labels)
     dlogits = detector.bce_backward(logits, labels)
 
-    w = p["classifier_weight"]
     grads: dict[str, np.ndarray] = {}
-    grads["classifier_bias"] = dlogits.sum(axis=0)
-    if variant == "baseline":
-        grads["classifier_weight"] = dlogits.T @ features
-        return loss, grads
-
-    w_frame, w_ctx = w[:, :D], w[:, D:]
+    grads["classifier_bias"] = col = dlogits.sum(axis=0)
     d_w_frame = dlogits.T @ features
-    if ctx.ndim == 2:
-        col = dlogits.sum(axis=0)  # context constant over frames
-        d_w_ctx = col[:, None] * ctx
-        d_ctx = col[:, None] * w_ctx
-    else:
-        d_w_ctx = np.einsum("tc,tck->ck", dlogits, ctx, optimize=True)
-        d_ctx = np.einsum("tc,ck->tck", dlogits, w_ctx, optimize=True)
-    grads["classifier_weight"] = np.concatenate([d_w_frame, d_w_ctx], axis=1)
-
-    if variant in baseline_context_blocks:
-        # rows of d_ctx are per-class gradients of one shared pooled vector
+    if variant == "baseline":
+        grads["classifier_weight"] = d_w_frame
         return loss, grads
 
-    length = state.kernel_length if variant == "relative" else T
-    if stack is None:
+    if variant == "relative":
+        d_stack, d_logits_att, d_w_ctx = pooling._relative_grads(rel_cache, dlogits)
+        grads["classifier_weight"] = np.concatenate([d_w_frame, d_w_ctx], axis=1)
+        grads["attention_logits"] = d_logits_att
+    else:
+        # the context is constant over frames, so its gradients are per class
+        grads["classifier_weight"] = np.concatenate([d_w_frame, col[:, None] * ctx],
+                                                    axis=1)
+        if variant in baseline_context_blocks:
+            return loss, grads
+        d_ctx = col[:, None] * w[:, D:]
+        length = T
         stack, _, _, _ = materialize_stack(p["filter_centers"], p["filter_widths"],
                                            length)
-    if variant == "single":
-        c, _, n = stack.shape
-        up = d_ctx.reshape(c, n, D)
-        d_stack = np.einsum("cnd,td->ctn", up, features, optimize=True)
-    elif variant == "attended":
-        d_stack, d_logits_att = pooling.pool_attended_backward(
-            stack, p["attention_logits"], features, d_ctx
-        )
-        grads["attention_logits"] = d_logits_att
-    else:
-        d_stack, d_logits_att = pooling._relative_grads(rel_cache, d_ctx)
-        grads["attention_logits"] = d_logits_att
+        if variant == "single":
+            c, _, n = stack.shape
+            d_stack = np.einsum("cnd,td->ctn", d_ctx.reshape(c, n, D), features,
+                                optimize=True)
+        else:
+            d_stack, grads["attention_logits"] = pooling.pool_attended_backward(
+                stack, p["attention_logits"], features, d_ctx
+            )
 
     dc, dw_ = stack_backward(p["filter_centers"], p["filter_widths"], length, d_stack)
     grads["filter_centers"] = dc
@@ -323,6 +329,15 @@ def load_checkpoint(path) -> ModelState:
             f"{path}: checkpoint tensors must be a list of {{name, dtype, shape}} objects"
         )
 
+    variant = header["variant"]
+    if variant not in VARIANTS:
+        raise FormatError(f"{path}: unknown variant {variant!r}")
+    dim_keys = ("feature_dim", "num_classes", "num_distributions", "num_filters")
+    if not all(type(header[key]) is int and header[key] >= 0
+               for key in dim_keys + ("kernel_length",)):
+        raise FormatError(f"{path}: checkpoint dims must be non-negative integers")
+    expected = _param_shapes(variant, *(header[key] for key in dim_keys))
+
     offset = 12 + header_len
     groups: dict[str, dict[str, np.ndarray]] = {"params": {}, "adam_m": {}, "adam_v": {}}
     for entry in tensors:
@@ -330,6 +345,13 @@ def load_checkpoint(path) -> ModelState:
         if group not in groups or not name:
             raise FormatError(
                 f"{path}: tensor {entry['name']!r} is not in params, adam_m or adam_v"
+            )
+        if name not in expected:
+            raise FormatError(f"{path}: a {variant} model has no tensor {entry['name']}")
+        if tuple(entry["shape"]) != expected[name]:
+            raise FormatError(
+                f"{path}: tensor {entry['name']} has shape {entry['shape']}, but the "
+                f"header's dims give {list(expected[name])}"
             )
         try:
             dt = np.dtype(entry["dtype"])
@@ -344,9 +366,14 @@ def load_checkpoint(path) -> ModelState:
         )
         offset += nbytes
         groups[group][name] = arr.astype(dt.newbyteorder("="))
+    for group, found in groups.items():
+        missing = [name for name in expected if name not in found]
+        # Adam's moments may be absent as a whole (no step taken yet)
+        if missing and (group == "params" or groups["adam_m"] or groups["adam_v"]):
+            raise FormatError(f"{path}: checkpoint lacks tensor {group}/{missing[0]}")
 
     return ModelState(
-        variant=header["variant"],
+        variant=variant,
         feature_dim=header["feature_dim"],
         num_classes=header["num_classes"],
         num_distributions=header["num_distributions"],

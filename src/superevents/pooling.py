@@ -2,7 +2,8 @@
 
 Four families, all pure functions; the two that carry learned attention have
 exact hand-written backward passes for the filter stack and the attention
-logits (features are fixed inputs, so no gradient flows to them):
+logits, and relative also for the context weights folded into it (features
+are fixed inputs, so no gradient flows to them):
 
 * pool_single      — one T x N filter applied to the sequence, giving an
                      N*D vector (distribution-major: block n holds the
@@ -13,13 +14,17 @@ logits (features are fixed inputs, so no gradient flows to them):
                      mixture of the M pooled vectors (identical by linearity
                      to mixing filters first, and cheaper when C > M).
 * pool_relative    — fixed-length L filters slid over the sequence as
-                     zero-padded, centered convolution kernels, producing a
-                     per-frame context vector before attention mixing.
+                     zero-padded, centered convolution kernels; the per-frame
+                     context is only read through the classifier, so its
+                     context weights are folded in and the result is one
+                     (T, C) score per frame and class (one convolution of
+                     the features with an L x D kernel per class).
 * pool_baseline    — parameter-free global max / mean / 3-level temporal
                      pyramid poolings.
 
-Because filter columns sum to one, every pooled coordinate is a convex
-combination of that feature coordinate over frames.
+Because filter columns sum to one, every coordinate pool_single and
+pool_attended return is a convex combination of that feature coordinate over
+frames.
 """
 
 from __future__ import annotations
@@ -131,22 +136,25 @@ def pool_attended_backward(stack: np.ndarray, logits: np.ndarray,
 
 
 def _padded_windows(features: np.ndarray, L: int) -> np.ndarray:
-    """Zero-padded sliding windows, windows[t, d, l] = padded[t + l, d]."""
+    """Zero-padded sliding windows as a contiguous (T, L*D) matrix,
+    windows[t, l*D + d] = padded[t + l, d]."""
     T, D = features.shape
     half = (L - 1) // 2
-    padded = np.zeros((T + L - 1, D), dtype=features.dtype)
-    padded[half : half + T] = features
-    return np.lib.stride_tricks.sliding_window_view(padded, L, axis=0)
+    padded = np.zeros((T + L - 1) * D, dtype=features.dtype)
+    padded[half * D : (half + T) * D] = features.reshape(-1)
+    view = np.lib.stride_tricks.sliding_window_view(padded, L * D)[::D]
+    return np.ascontiguousarray(view)
 
 
-def _relative_state(stack: np.ndarray, logits: np.ndarray, features: np.ndarray,
-                    cfg: RelativeConfig):
-    """Forward pass of the per-frame pooling plus the intermediates its
-    backward pass needs; returns (mixed (T, C, N*D), cache).
+def _relative_state(stack: np.ndarray, logits: np.ndarray, w_ctx: np.ndarray,
+                    features: np.ndarray, cfg: RelativeConfig):
+    """Per-frame context scores (T, C) with the classifier's context weights
+    (C, N*D) folded into the kernels, plus the cache _relative_grads needs.
 
-    Every contraction is a plain 2-D matmul on contiguous operands so BLAS
-    never has to copy; the only large copy is materializing the zero-padded
-    sliding windows once.
+    The per-frame context is linear in the features, and the classifier only
+    reads it through w_ctx, so attention, filters and weights collapse into
+    one (L, D) kernel per class, K_c[l] = sum_{m,n} att[c,m] F_m[l,n] w_c[n];
+    the scores are one matmul of the zero-padded windows with the C kernels.
     """
     features = np.asarray(features)
     m, L, n = stack.shape
@@ -156,54 +164,42 @@ def _relative_state(stack: np.ndarray, logits: np.ndarray, features: np.ndarray,
         raise ValueError("attention/filter count mismatch")
     T, D = features.shape
     c = logits.shape[0]
+    if w_ctx.shape != (c, n * D):
+        raise ValueError(f"context weights {w_ctx.shape} != ({c}, {n * D})")
 
-    windows = _padded_windows(features, L)  # (T, D, L) strided view
-    windows2 = np.ascontiguousarray(windows).reshape(T * D, L)
-    kernels = np.ascontiguousarray(stack.transpose(1, 0, 2)).reshape(L, m * n)
-    per_frame = windows2 @ kernels  # (T*D, M*N)
     att = soft_attention(logits)
-    # mix over filters with the distribution axis pulled outside
-    pf_nm = np.ascontiguousarray(
-        per_frame.reshape(T * D, m, n).transpose(0, 2, 1)
-    ).reshape(T * D * n, m)
-    mixed = pf_nm @ att.T  # (T*D*N, C)
-    out = np.ascontiguousarray(
-        mixed.reshape(T, D, n, c).transpose(0, 3, 2, 1)
-    ).reshape(T, c, n * D)
-    cache = {
-        "windows2": windows2,
-        "pf_nm": pf_nm,
-        "att": att,
-        "shape": (m, L, n, T, D),
-    }
-    return out, cache
+    mixed = (att @ stack.reshape(m, L * n)).reshape(c, L, n)  # per-class filters
+    weights = w_ctx.reshape(c, n, D)
+    kernels = mixed @ weights  # (C, L, D)
+    windows = _padded_windows(features, L)  # (T, L*D)
+    scores = windows @ kernels.reshape(c, L * D).T
+    cache = {"windows": windows, "stack": stack, "att": att, "mixed": mixed,
+             "weights": weights}
+    return scores, cache
 
 
-def _relative_grads(cache: dict, upstream: np.ndarray):
-    """(d_filter_stack, d_logits) from a _relative_state cache."""
-    m, L, n, T, D = cache["shape"]
-    att = cache["att"]
+def _relative_grads(cache: dict, d_scores: np.ndarray):
+    """(d_filter_stack, d_logits, d_w_ctx) from a _relative_state cache."""
+    stack, att = cache["stack"], cache["att"]
+    mixed, weights = cache["mixed"], cache["weights"]
+    m, L, n = stack.shape
     c = att.shape[0]
-    up = np.ascontiguousarray(
-        np.asarray(upstream).reshape(T, c, n, D).transpose(0, 3, 2, 1)
-    ).reshape(T * D * n, c)
-
-    d_att = up.T @ cache["pf_nm"]  # (C, M)
+    d_kernels = (d_scores.T @ cache["windows"]).reshape(c, L, -1)  # (C, L, D)
+    d_w_ctx = (mixed.transpose(0, 2, 1) @ d_kernels).reshape(c, -1)
+    d_mixed = (d_kernels @ weights.transpose(0, 2, 1)).reshape(c, L * n)
+    d_att = d_mixed @ stack.reshape(m, L * n).T  # (C, M)
     d_logits = soft_attention_backward(att, d_att)
-
-    d_pf = (up @ att).reshape(T * D, n, m)  # gradient in (x, n, m) layout
-    d_per_frame = np.ascontiguousarray(d_pf.transpose(0, 2, 1)).reshape(T * D, m * n)
-    d_kernels = cache["windows2"].T @ d_per_frame  # (L, M*N)
-    d_stack = d_kernels.reshape(L, m, n).transpose(1, 0, 2)
-    return d_stack, d_logits
+    d_stack = (att.T @ d_mixed).reshape(m, L, n)
+    return d_stack, d_logits, d_w_ctx
 
 
-def pool_relative(stack: np.ndarray, logits: np.ndarray, features: np.ndarray,
-                  cfg: RelativeConfig) -> np.ndarray:
-    """Per-frame context (T, C, N*D): kernels centered at each frame, then
-    attention mixing as in pool_attended."""
-    mixed, _ = _relative_state(stack, logits, features, cfg)
-    return mixed
+def pool_relative(stack: np.ndarray, logits: np.ndarray, w_ctx: np.ndarray,
+                  features: np.ndarray, cfg: RelativeConfig) -> np.ndarray:
+    """Per-frame context scores (T, C): the classifier's context term of the
+    relative variant, from kernels centered at each frame and attention
+    mixing as in pool_attended."""
+    scores, _ = _relative_state(stack, logits, w_ctx, features, cfg)
+    return scores
 
 
 def _pyramid_segments(T: int):

@@ -230,10 +230,11 @@ def test_criterion_4_pooling_oracles():
             rel_err(pool_attended(stack, logits, v), pool_attended_oracle(stack, logits, v)),
         )
         kstack = random_stack(rng, M, L, N)
+        w = rng.normal(size=(C, N * D))
         worst["relative"] = max(
             worst["relative"],
-            rel_err(pool_relative(kstack, logits, v, RelativeConfig(L)),
-                    pool_relative_oracle(kstack, logits, v, L)),
+            rel_err(pool_relative(kstack, logits, w, v, RelativeConfig(L)),
+                    np.einsum("tck,ck->tc", pool_relative_oracle(kstack, logits, v, L), w)),
         )
         worst["baseline"] = max(
             worst["baseline"],
@@ -304,14 +305,17 @@ def test_criterion_7_ablation_ordering(bench):
 
 
 def test_criterion_8_relative_variant(bench):
-    # L = 1 kernels reproduce the frame features exactly
+    # L = 1 kernels reproduce the frame features exactly: context weights
+    # that read feature d of block n give feature d's column for every class
     rng = np.random.default_rng(11)
     v = rng.normal(size=(9, 4))
     one = random_stack(rng, 1, 1, 3)
-    out = pool_relative(one, np.zeros((2, 1)), v, RelativeConfig(1))
-    exact = all(
-        np.array_equal(out[:, c, n * 4 : (n + 1) * 4], v) for c in range(2) for n in range(3)
-    )
+    exact = True
+    for block in range(3 * 4):
+        w = np.zeros((2, 3 * 4))
+        w[:, block] = 1.0
+        out = pool_relative(one, np.zeros((2, 1)), w, v, RelativeConfig(1))
+        exact &= all(np.array_equal(out[:, c], v[:, block % 4]) for c in range(2))
 
     rel = bench["runs"][("relative", TRAIN_SEEDS[0])]
     att = bench["runs"][("attended", TRAIN_SEEDS[0])]

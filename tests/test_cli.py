@@ -194,8 +194,12 @@ def test_checkpoint_missing_header_key_is_format_error(synth_dir, baseline_ckpt,
     lambda h: h["tensors"][0].update(dtype="no-such-dtype"),
     lambda h: h["tensors"][0].update(name="grads/classifier_bias"),
     lambda h: h["tensors"][0].update(name="classifier_bias"),
+    lambda h: h.update(variant="bogus"),
+    lambda h: h.update(feature_dim="5"),
+    lambda h: h["tensors"][0].update(name="params/attention_logits"),
 ], ids=["not-a-list", "not-an-object", "missing-key", "extra-key", "bad-shape",
-        "bad-dtype", "unknown-group", "no-group"])
+        "bad-dtype", "unknown-group", "no-group", "unknown-variant", "dim-not-int",
+        "tensor-not-in-variant"])
 def test_checkpoint_bad_tensor_directory_is_format_error(synth_dir, baseline_ckpt,
                                                          tmp_path, capsys, edit):
     bad = tmp_path / "bad.ckpt"
@@ -205,6 +209,33 @@ def test_checkpoint_bad_tensor_directory_is_format_error(synth_dir, baseline_ckp
     code, _, _ = run(capsys, ["eval", "--data", str(synth_dir / "manifest.json"),
                               "--model", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize("variant, tensor", [
+    ("attended", "params/attention_logits"),
+    ("relative", "params/classifier_weight"),
+])
+def test_checkpoint_shape_contradicting_header_is_format_error(synth_dir, tmp_path,
+                                                               capsys, variant, tensor):
+    ckpt = tmp_path / "good.ckpt"
+    code, _, _ = run(capsys, [
+        "train", "--data", str(synth_dir / "manifest_train.json"),
+        "--variant", variant, "--out", str(ckpt), "--iters", "1", "--batch", "1",
+        "--filters", "2", "--kernel", "3", "--dropout", "0", "--quiet",
+    ])
+    assert code == 0
+
+    def flatten(header):  # same payload bytes, a shape the dims contradict
+        entry = next(e for e in header["tensors"] if e["name"] == tensor)
+        entry["shape"] = [int(np.prod(entry["shape"])), 1]
+
+    bad = tmp_path / "bad.ckpt"
+    rewrite_header(ckpt, bad, flatten)
+    with pytest.raises(FormatError, match=tensor):
+        load_checkpoint(bad)
+    code, _, err = run(capsys, ["eval", "--data", str(synth_dir / "manifest.json"),
+                                "--model", str(bad)])
+    assert code == 2 and tensor in err
 
 
 def test_train_lr_decay_every_zero_is_rejected(synth_dir, tmp_path, capsys):
@@ -245,6 +276,21 @@ def test_synth_config_unknown_field_is_rejected(tmp_path, capsys):
     code, _, err = run(capsys, ["synth", "--out", str(tmp_path / "out"),
                                 "--config", str(cfg)])
     assert code == 2 and "frame_rate" in err
+
+
+@pytest.mark.parametrize("doc, problem", [
+    ([{"num_videos": 2}], "JSON object"),
+    ({"num_videos": 2, "rules": [{"trigger_a": 0}]}, "trigger_b"),
+], ids=["top-level-list", "rule-without-trigger-b"])
+def test_synth_config_malformed_is_format_error(tmp_path, capsys, doc, problem):
+    if isinstance(doc, dict):
+        with pytest.raises(FormatError, match=problem):
+            SynthConfig.from_dict(doc)
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["synth", "--out", str(tmp_path / "out"),
+                                "--config", str(cfg)])
+    assert code == 2 and problem in err and "Traceback" not in err
 
 
 def test_missing_checkpoint_is_io_error(synth_dir, capsys):
@@ -314,7 +360,7 @@ def test_export_filters_identical_filters_match_combination(tmp_path, capsys):
         "filter_centers": np.array([[0.2], [0.2]], dtype=np.float32),
         "filter_widths": np.array([[0.1], [0.1]], dtype=np.float32),
         "attention_logits": np.array([[0.7, -0.4]], dtype=np.float32),
-        "classifier_weight": np.zeros((1, 3), dtype=np.float32),
+        "classifier_weight": np.zeros((1, 2), dtype=np.float32),  # D + N*D wide
         "classifier_bias": np.zeros(1, dtype=np.float32),
     }
     state = ModelState(variant="attended", feature_dim=1, num_classes=1,

@@ -70,6 +70,9 @@ def test_shape_mismatches():
         frame_logits(w, b, rng.normal(size=(4, 3)), rng.normal(size=(3, 2)))
     with pytest.raises(ValueError):
         bce_loss(np.zeros((2, 2)), np.zeros((2, 3)))
+    # no per-frame (T, C, K) context: relative folds it into its kernels
+    with pytest.raises(ValueError, match="2-D"):
+        frame_logits(w, b, rng.normal(size=(4, 3)), rng.normal(size=(4, 2, 2)))
 
 
 def test_bce_zero_logits_is_ln2():

@@ -266,16 +266,25 @@ def test_attended_backward_matches_finite_differences():
 # pool_relative
 # ---------------------------------------------------------------------------
 
+def one_hot_weights(c, n, d, block):
+    """(C, N*D) context weights reading feature d of distribution block n."""
+    w = np.zeros((c, n * d))
+    w[:, block] = 1.0
+    return w
+
+
 def test_relative_length_one_is_identity():
     rng = np.random.default_rng(12)
     stack = random_stack(rng, 2, 1, 3)  # L=1 kernels, each column normalizes to 1
     np.testing.assert_allclose(stack, 1.0, atol=1e-12)
     v = rng.normal(size=(6, 2))
-    out = pool_relative(stack, rng.normal(size=(4, 2)), v, RelativeConfig(1))
-    for t in range(6):
-        for c in range(4):
-            np.testing.assert_allclose(out[t, c].reshape(3, 2), np.tile(v[t], (3, 1)),
-                                       rtol=1e-9)
+    logits = rng.normal(size=(4, 2))
+    for n in range(3):
+        for d in range(2):
+            w = one_hot_weights(4, 3, 2, n * 2 + d)
+            out = pool_relative(stack, logits, w, v, RelativeConfig(1))
+            for c in range(4):
+                assert np.array_equal(out[:, c], v[:, d])
 
 
 def test_relative_constant_input_matches_global():
@@ -284,8 +293,9 @@ def test_relative_constant_input_matches_global():
     stack = random_stack(rng, 2, L, 2)
     logits = rng.normal(size=(3, 2))
     v = np.tile(np.array([[1.5, -2.0, 0.25]]), (9, 1))
-    out = pool_relative(stack, logits, v, RelativeConfig(L))
-    glob = pool_attended(stack, logits, v[:L])
+    w = rng.normal(size=(3, 2 * 3))
+    out = pool_relative(stack, logits, w, v, RelativeConfig(L))
+    glob = (pool_attended(stack, logits, v[:L]) * w).sum(axis=1)
     for t in range(2, 7):  # interior frames: window never touches the padding
         np.testing.assert_allclose(out[t], glob, rtol=1e-9)
 
@@ -296,7 +306,7 @@ def test_relative_explicit_edges():
     stack = kernel[None]  # M=1, L=3, N=1
     v = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
     logits = np.zeros((1, 1))
-    out = pool_relative(stack, logits, v, RelativeConfig(3))
+    out = pool_relative(stack, logits, np.ones((1, 1)), v, RelativeConfig(3))
     expected = [
         0.2 * 0 + 0.5 * 1 + 0.3 * 2,
         0.2 * 1 + 0.5 * 2 + 0.3 * 3,
@@ -304,7 +314,7 @@ def test_relative_explicit_edges():
         0.2 * 3 + 0.5 * 4 + 0.3 * 5,
         0.2 * 4 + 0.5 * 5 + 0.3 * 0,
     ]
-    np.testing.assert_allclose(out[:, 0, 0], expected, rtol=1e-12)
+    np.testing.assert_allclose(out[:, 0], expected, rtol=1e-12)
 
 
 def test_relative_rejects_even_or_nonpositive_length():
@@ -325,8 +335,10 @@ def test_relative_matches_oracle_random():
         stack = random_stack(rng, M, L, N)
         logits = rng.normal(size=(C, M))
         v = rng.normal(size=(T, D))
-        out = pool_relative(stack, logits, v, RelativeConfig(L))
-        assert rel_err(out, pool_relative_oracle(stack, logits, v, L)) < 1e-9
+        w = rng.normal(size=(C, N * D))
+        out = pool_relative(stack, logits, w, v, RelativeConfig(L))
+        oracle = np.einsum("tck,ck->tc", pool_relative_oracle(stack, logits, v, L), w)
+        assert rel_err(out, oracle) < 1e-9
 
 
 def test_relative_backward_matches_finite_differences():
@@ -338,17 +350,26 @@ def test_relative_backward_matches_finite_differences():
         stack = random_stack(rng, M, L, N).astype(LD)
         logits = rng.normal(size=(C, M)).astype(LD)
         v = rng.normal(size=(T, D)).astype(LD)
-        upstream = rng.normal(size=(T, C, N * D)).astype(LD)
+        w = rng.normal(size=(C, N * D)).astype(LD)
+        upstream = rng.normal(size=(T, C)).astype(LD)
         cfg = RelativeConfig(L)
 
-        _, cache = _relative_state(stack, logits, v, cfg)
-        ds, dl = _relative_grads(cache, upstream)
+        _, cache = _relative_state(stack, logits, w, v, cfg)
+        ds, dl, dw = _relative_grads(cache, upstream)
 
         def loss():
-            return float((upstream * pool_relative(stack, logits, v, cfg)).sum())
+            return float((upstream * pool_relative(stack, logits, w, v, cfg)).sum())
 
-        fd_loss_check(loss, {"stack": stack, "logits": logits},
-                      {"stack": ds, "logits": dl})
+        fd_loss_check(loss, {"stack": stack, "logits": logits, "w": w},
+                      {"stack": ds, "logits": dl, "w": dw})
+
+
+def test_relative_rejects_mismatched_context_weights():
+    rng = np.random.default_rng(17)
+    stack = random_stack(rng, 2, 3, 2)
+    v = rng.normal(size=(5, 4))
+    with pytest.raises(ValueError, match="context weights"):
+        pool_relative(stack, np.zeros((3, 2)), np.zeros((3, 4)), v, RelativeConfig(3))
 
 
 # ---------------------------------------------------------------------------
