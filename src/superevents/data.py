@@ -275,6 +275,30 @@ class PairedRule:
     band: tuple[float, float] = (0.0, 1.0)
 
 
+def _checked(name: str, value, default):
+    """`value` in the form of the field's `default` (an int, a float or a pair
+    of them, where an int may stand for a float); FormatError otherwise."""
+    def conforms(v, want):
+        if isinstance(want, tuple):
+            return (isinstance(v, (list, tuple)) and len(v) == len(want)
+                    and all(map(conforms, v, want)))
+        return type(v) is int or (type(v) is float and type(want) is float)
+
+    if not conforms(value, default):
+        raise FormatError(f"SynthConfig {name} must be like {default!r}, got {value!r}")
+    return tuple(value) if isinstance(default, tuple) else value
+
+
+def _checked_rule(index: int, rule: dict) -> PairedRule:
+    template = PairedRule(0, 0)
+    return PairedRule(**{
+        f.name: _checked(f"rules[{index}].{f.name}",
+                         rule.get(f.name, getattr(template, f.name)),
+                         getattr(template, f.name))
+        for f in fields(PairedRule)
+    })
+
+
 @dataclass
 class SynthConfig:
     num_videos: int = 200
@@ -341,18 +365,11 @@ class SynthConfig:
                     "SynthConfig rules must be a list of objects with trigger_a "
                     "and trigger_b"
                 )
-            d["rules"] = tuple(
-                PairedRule(
-                    trigger_a=int(r["trigger_a"]),
-                    trigger_b=int(r["trigger_b"]),
-                    gap_range=tuple(r.get("gap_range", (5, 15))),
-                    band=tuple(r.get("band", (0.0, 1.0))),
-                )
-                for r in rules
-            )
-        for key in ("t_range", "event_len_range", "background_events"):
-            if key in d:
-                d[key] = tuple(d[key])
+            d["rules"] = tuple(_checked_rule(i, r) for i, r in enumerate(rules))
+        template = cls()
+        for key, value in d.items():
+            if key != "rules":
+                d[key] = _checked(key, value, getattr(template, key))
         return cls(**d)
 
 

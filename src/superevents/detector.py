@@ -29,12 +29,9 @@ LOGIT_CLAMP = 30.0
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1 / (1 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1 + e)
-    return out
+    # exp(-|x|) never overflows; minimum(x, -x) keeps a NaN's sign bit
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
 
 
 def frame_logits(weight: np.ndarray, bias: np.ndarray, features: np.ndarray,

@@ -25,6 +25,10 @@ class DimensionOverflowError(FormatError):
     """Declared dimensions exceed the sanity bound for a single tensor."""
 
 
+class ModelDatasetMismatchError(SupereventsError, ValueError):
+    """A model's dims or class names differ from the dataset it is applied to."""
+
+
 class GenerationError(SupereventsError):
     """Synthetic event placement failed repeatedly for the given config."""
 

@@ -13,11 +13,16 @@ parameter values, and center positions rescale proportionally with T.
 Frames are 0-based, t in {0, ..., T-1}.
 
 Both functions take parameters with any leading shape: one filter's (N,),
-or a stack of M filters' (M, N). They are pure and dtype-preserving (feed
-float64/longdouble arrays to get that precision back), so they are safe to
-call concurrently. `stack_backward` supplies the exact parameter gradients,
-including the dependence of the per-column normalizer on both parameters; at
-width = 0, where |tanh| has a kink, the subgradient 0 is used.
+or a stack of M filters' (M, N). Their arithmetic runs on (..., N, T)
+arrays, frames innermost, so every elementwise pass and every normalizing
+sum walks contiguous memory; the public shapes stay frames-major:
+`materialize_stack` returns C-contiguous (..., T, N) values and
+`stack_backward` takes a (..., T, N) upstream. They are pure and
+dtype-preserving (feed float64/longdouble arrays to get that precision
+back), so they are safe to call concurrently. `stack_backward` supplies the
+exact parameter gradients, including the dependence of the per-column
+normalizer on both parameters; at width = 0, where |tanh| has a kink, the
+subgradient 0 is used.
 """
 
 from __future__ import annotations
@@ -43,10 +48,10 @@ def _transform(centers, widths, T):
 
 
 def _density(frame_centers, scales, T):
-    # unnormalized Cauchy columns g and offsets u, shapes (..., T, N)
+    # unnormalized Cauchy rows g and offsets u, shapes (..., N, T)
     t = np.arange(T, dtype=frame_centers.dtype)
-    u = (t[:, None] - frame_centers[..., None, :]) / scales[..., None, :]
-    g = 1.0 / (math.pi * scales[..., None, :] * (1 + u * u))
+    u = (t - frame_centers[..., None]) / scales[..., None]
+    g = 1.0 / (math.pi * scales[..., None] * (1 + u * u))
     return g, u
 
 
@@ -60,8 +65,8 @@ def materialize_stack(centers: np.ndarray, widths: np.ndarray, T: int):
     _check_params(centers, widths)
     frame_centers, scales = _transform(centers, widths, T)
     g, _ = _density(frame_centers, scales, T)
-    norms = g.sum(axis=-2)
-    values = g / norms[..., None, :]
+    norms = g.sum(axis=-1)
+    values = np.ascontiguousarray(np.swapaxes(g / norms[..., None], -1, -2))
     return values, frame_centers, scales, norms
 
 
@@ -85,19 +90,19 @@ def stack_backward(centers: np.ndarray, widths: np.ndarray, T: int, upstream: np
 
     frame_centers, scales = _transform(centers, widths, T)
     g, u = _density(frame_centers, scales, T)
-    norms = g.sum(axis=-2, keepdims=True)
+    up = np.ascontiguousarray(np.swapaxes(upstream, -1, -2))
+    norms = g.sum(axis=-1, keepdims=True)
     values = g / norms
 
-    # d(sum U*F)/dg_t: normalization couples every row of a column
-    dLdg = (upstream - (upstream * values).sum(axis=-2, keepdims=True)) / norms
+    # d(sum U*F)/dg_t: normalization couples every frame of a column
+    dLdg = (up - (up * values).sum(axis=-1, keepdims=True)) / norms
 
-    s = scales[..., None, :]
-    denom = s * (1 + u * u)
+    denom = scales[..., None] * (1 + u * u)
     dg_dcenter_hat = g * 2 * u / denom
     dg_dscale_hat = g * (u * u - 1) / denom
 
-    dcenter_hat = (dLdg * dg_dcenter_hat).sum(axis=-2)
-    dscale_hat = (dLdg * dg_dscale_hat).sum(axis=-2)
+    dcenter_hat = (dLdg * dg_dcenter_hat).sum(axis=-1)
+    dscale_hat = (dLdg * dg_dscale_hat).sum(axis=-1)
 
     one = centers.dtype.type(1)
     th_c = np.tanh(centers)

@@ -237,8 +237,7 @@ def loss_and_grads(state: ModelState, features: np.ndarray, labels: np.ndarray):
                                            length)
         if variant == "single":
             c, _, n = stack.shape
-            d_stack = np.einsum("cnd,td->ctn", d_ctx.reshape(c, n, D), features,
-                                optimize=True)
+            d_stack = features @ np.swapaxes(d_ctx.reshape(c, n, D), 1, 2)
         else:
             d_stack, grads["attention_logits"] = pooling.pool_attended_backward(
                 stack, p["attention_logits"], features, d_ctx

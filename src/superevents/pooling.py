@@ -25,6 +25,11 @@ are fixed inputs, so no gradient flows to them):
 Because filter columns sum to one, every coordinate pool_single and
 pool_attended return is a convex combination of that feature coordinate over
 frames.
+
+All contractions are plain 2-D or batched matmuls on transposed or reshaped
+operands (no einsum path planning per call). Filter stacks and their
+gradients keep the (..., T, N) shape of filters.materialize_stack, and every
+array returned is C-contiguous.
 """
 
 from __future__ import annotations
@@ -91,15 +96,8 @@ def pool_single(filters: np.ndarray, features: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"filter length {filters.shape[-2]} != sequence length {features.shape[0]}"
         )
-    if filters.ndim == 2:
-        return (filters.T @ features).reshape(-1)
-    mixed = np.einsum("ctn,td->cnd", filters, features, optimize=True)
-    return mixed.reshape(filters.shape[0], -1)
-
-
-def _pooled_per_filter(stack: np.ndarray, features: np.ndarray) -> np.ndarray:
-    # (M, T, N) x (T, D) -> (M, N, D)
-    return np.einsum("mtn,td->mnd", stack, features, optimize=True)
+    mixed = np.swapaxes(filters, -1, -2) @ features  # (..., N, D)
+    return mixed.reshape(filters.shape[:-2] + (-1,))
 
 
 def pool_attended(stack: np.ndarray, logits: np.ndarray,
@@ -110,28 +108,20 @@ def pool_attended(stack: np.ndarray, logits: np.ndarray,
         raise ValueError(
             f"attention expects {logits.shape[1]} filters, bank has {stack.shape[0]}"
         )
-    if stack.shape[1] != features.shape[0]:
-        raise ValueError("filters were materialized at a different length")
-    att = soft_attention(logits)
-    pooled = _pooled_per_filter(stack, features)  # (M, N, D)
-    mixed = np.einsum("cm,mnd->cnd", att, pooled, optimize=True)
-    return mixed.reshape(logits.shape[0], -1)
+    return soft_attention(logits) @ pool_single(stack, features)  # checks T
 
 
 def pool_attended_backward(stack: np.ndarray, logits: np.ndarray,
                            features: np.ndarray, upstream: np.ndarray):
     """Returns (d_filter_stack (M,T,N), d_logits (C,M))."""
     features = np.asarray(features)
-    n = stack.shape[2]
-    c = logits.shape[0]
-    up = np.asarray(upstream).reshape(c, n, features.shape[1])  # (C, N, D)
+    m, _, n = stack.shape
+    up = np.asarray(upstream).reshape(logits.shape[0], -1)  # (C, N*D)
 
     att = soft_attention(logits)
-    pooled = _pooled_per_filter(stack, features)
-    d_att = np.einsum("cnd,mnd->cm", up, pooled, optimize=True)
-    d_logits = soft_attention_backward(att, d_att)
-    d_pooled = np.einsum("cm,cnd->mnd", att, up, optimize=True)
-    d_stack = np.einsum("mnd,td->mtn", d_pooled, features, optimize=True)
+    d_logits = soft_attention_backward(att, up @ pool_single(stack, features).T)
+    d_pooled = (att.T @ up).reshape(m, n, -1)  # (M, N, D)
+    d_stack = features @ np.swapaxes(d_pooled, 1, 2)  # (M, T, N)
     return d_stack, d_logits
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from superevents.cli import main
-from superevents.data import SynthConfig, load_manifest
-from superevents.errors import FormatError
+from superevents.data import SynthConfig, load_dataset, load_manifest
+from superevents.errors import FormatError, ModelDatasetMismatchError
+from superevents.evaluation import evaluate
 from superevents.model import load_checkpoint
 
 
@@ -171,6 +172,22 @@ def baseline_ckpt(synth_dir, tmp_path, capsys):
     return ckpt
 
 
+def test_eval_class_name_mismatch_is_io_error(synth_dir, baseline_ckpt, tmp_path,
+                                              capsys):
+    # same D and C, classes in another order: AP would be charged to the
+    # wrong class names
+    bad = tmp_path / "reordered.ckpt"
+    names = rewrite_header(baseline_ckpt, bad,
+                           lambda h: h["class_names"].reverse())["class_names"]
+    dataset = load_dataset(synth_dir / "manifest.json")
+    assert names == dataset.class_names[::-1]
+    with pytest.raises(ModelDatasetMismatchError):
+        evaluate(load_checkpoint(bad), dataset)
+    code, _, err = run(capsys, ["eval", "--data", str(synth_dir / "manifest.json"),
+                                "--model", str(bad)])
+    assert code == 2 and str(names) in err and str(dataset.class_names) in err
+
+
 def test_checkpoint_missing_header_key_is_format_error(synth_dir, baseline_ckpt,
                                                        tmp_path, capsys):
     keys = list(rewrite_header(baseline_ckpt, tmp_path / "copy.ckpt", lambda h: None))
@@ -281,7 +298,10 @@ def test_synth_config_unknown_field_is_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("doc, problem", [
     ([{"num_videos": 2}], "JSON object"),
     ({"num_videos": 2, "rules": [{"trigger_a": 0}]}, "trigger_b"),
-], ids=["top-level-list", "rule-without-trigger-b"])
+    ({"num_videos": 2, "t_range": 5}, "t_range"),
+    ({"num_videos": 2, "rules": [{"trigger_a": None, "trigger_b": 1}]}, "trigger_a"),
+], ids=["top-level-list", "rule-without-trigger-b", "t-range-not-a-pair",
+        "trigger-a-null"])
 def test_synth_config_malformed_is_format_error(tmp_path, capsys, doc, problem):
     if isinstance(doc, dict):
         with pytest.raises(FormatError, match=problem):

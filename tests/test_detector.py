@@ -11,6 +11,32 @@ def probs(weight, bias, features, context=None):
     return sigmoid(frame_logits(weight, bias, features, context))
 
 
+def masked_sigmoid(x):
+    """The two-branch stable sigmoid evaluated branch by branch through
+    boolean masks, the reference `sigmoid` must match bit for bit."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1 / (1 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1 + e)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
+def test_sigmoid_bitwise_matches_masked_branches(dtype):
+    edges = [0.0, -0.0, 30.0, -30.0, np.nan, -np.nan, np.inf, -np.inf,
+             1e-30, -1e-30, 100.0, -100.0, 1e4, -1e4]
+    x = np.concatenate([edges, np.random.default_rng(8).normal(0, 12, 4096)])
+    x = x.astype(dtype)
+    got, want = sigmoid(x), masked_sigmoid(x)
+    assert got.dtype == dtype and got.shape == x.shape
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    if dtype == np.longdouble:  # its padding bytes are undefined
+        assert np.array_equal(got, want, equal_nan=True)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
 def test_zero_params_give_half():
     v = np.random.default_rng(0).normal(size=(4, 3))
     S = np.random.default_rng(1).normal(size=(2, 2))

@@ -94,6 +94,7 @@ def test_evaluate_oracle_scores_give_map_one():
     class Oracle:
         feature_dim = ds.feature_dim
         num_classes = ds.num_classes
+        class_names = ds.class_names
 
     import superevents.evaluation as ev
 

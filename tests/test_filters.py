@@ -160,6 +160,30 @@ def test_stack_matches_per_filter():
         np.testing.assert_allclose(dw[m], dwm, rtol=1e-12)
 
 
+@pytest.mark.parametrize("T", [1, 2, 3000])
+def test_stack_matches_per_filter_and_oracle_at_extreme_lengths(T):
+    # 3000 frames is the longest video the eval-long benchmark scores
+    rng = np.random.default_rng(T)
+    centers = rng.normal(0, 1.5, (5, 3))
+    widths = rng.normal(0, 1.5, (5, 3))
+    values, fcs, scs, norms = materialize_stack(centers, widths, T)
+    assert values.shape == (5, T, 3) and values.flags.c_contiguous
+    assert values.dtype == np.float64
+    upstream = rng.normal(size=(5, T, 3))
+    dc, dw = stack_backward(centers, widths, T, upstream)
+    for m in range(5):
+        one = materialize_stack(centers[m], widths[m], T)
+        assert one[0].shape == (T, 3) and one[0].flags.c_contiguous
+        for got, want in zip((values, fcs, scs, norms), one):
+            np.testing.assert_allclose(got[m], want, rtol=1e-12)
+        dcm, dwm = stack_backward(centers[m], widths[m], T, upstream[m])
+        np.testing.assert_allclose(dc[m], dcm, rtol=1e-12)
+        np.testing.assert_allclose(dw[m], dwm, rtol=1e-12)
+        for n in range(3):
+            _, _, col = cauchy_column_oracle(centers[m, n], widths[m, n], T)
+            np.testing.assert_allclose(values[m, :, n], col, rtol=1e-12)
+
+
 def test_init_ranges_and_dtype():
     rng = np.random.default_rng(0)
     for variant, m in (("single", 4), ("attended", 5), ("relative", 5)):

@@ -254,6 +254,7 @@ def test_attended_backward_matches_finite_differences():
         upstream = rng.normal(size=(C, N * D)).astype(LD)
 
         ds, dl = pool_attended_backward(stack, logits, v, upstream)
+        assert ds.shape == (M, T, N) and ds.flags.c_contiguous
 
         def loss():
             return float((upstream * pool_attended(stack, logits, v)).sum())
