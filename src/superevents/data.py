@@ -124,11 +124,12 @@ def load_features(path) -> np.ndarray:
 
 
 def save_labels(path, labels: np.ndarray) -> None:
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
+    labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ValueError("labels must be T x C")
     if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
+    labels = np.ascontiguousarray(labels, dtype=np.uint8)
     _write_tensor(path, LABEL_MAGIC, labels.shape[0], labels.shape[1],
                   labels.tobytes())
 
@@ -138,7 +139,7 @@ def load_labels(path) -> np.ndarray:
     t, c = _read_header(raw, LABEL_MAGIC, path)
     payload = _read_payload(raw, t, c, 1, path)
     z = np.frombuffer(payload, dtype=np.uint8).reshape(t, c).copy()
-    if not np.isin(z, (0, 1)).all():
+    if z.max() > 1:
         raise FormatError(f"{path}: label bytes must be 0 or 1")
     return z
 
@@ -194,6 +195,9 @@ def load_manifest(path) -> DatasetManifest:
                 f"{path}: video entry {v!r} must have exactly the keys "
                 f"{', '.join(sorted(video_keys))}"
             )
+        for key in ("feature_path", "label_path"):
+            if not isinstance(v[key], str) or Path(v[key]).is_absolute():
+                raise FormatError(f"{path}: {key} {v[key]!r} is not a relative path")
     return DatasetManifest(
         class_names=list(doc["class_names"]),
         feature_dim=int(doc["feature_dim"]),

@@ -3,8 +3,9 @@
 Frames are pooled across all test videos per class before ranking
 (dataset-level AP). AP is the exact precision-at-positive-rank form: sum of
 precision at each positive, in descending score order, divided by the
-positive count; no interpolation. Ties are broken by a stable sort on
-(-score, video order, frame order), so reports are deterministic. Classes
+positive count; no interpolation. Frames rank by (-score, video order, frame
+order), so reports are deterministic: one sort, then a frame-index tie-break
+on the tied runs only, which gives bitwise the APs of a stable sort. Classes
 with no positive frame are excluded from the mean and listed in the report.
 """
 
@@ -28,20 +29,41 @@ PROTOCOL = {
 }
 
 
+_INDEX_BITS = 32  # the tie-break key packs a frame index into its low bits
+
+
+def _rank(scores: np.ndarray) -> np.ndarray:
+    """Frame indices by (-score, index); NaNs tie, as do +0.0 and -0.0."""
+    if scores.size >= 1 << _INDEX_BITS:
+        raise ValueError(f"cannot rank {scores.size} frames: the tie-break key "
+                         f"holds indices below 2**{_INDEX_BITS}")
+    neg = -scores
+    order = np.argsort(neg)
+    ranked = neg[order]
+    nan = np.isnan(ranked)
+    tied = np.r_[False, (ranked[1:] == ranked[:-1]) | (nan[1:] & nan[:-1])]
+    runs = np.flatnonzero(tied | np.r_[tied[1:], False])
+    if runs.size:
+        run_rank = np.cumsum(~tied[runs], dtype=np.uint64) << np.uint64(_INDEX_BITS)
+        key = np.sort(run_rank | order[runs].astype(np.uint64))
+        order[runs] = key & np.uint64((1 << _INDEX_BITS) - 1)
+    return order
+
+
 def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     """AP of one ranking; raises ValueError when there is no positive."""
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    scores = np.asarray(scores).reshape(-1)
+    if scores.dtype.kind != "f":
+        scores = scores.astype(np.float64)  # so that -scores cannot wrap
     labels = np.asarray(labels).reshape(-1)
     if scores.shape != labels.shape or scores.size == 0:
         raise ValueError("scores and labels must be equal-length and nonempty")
     positives = int(labels.sum())
     if positives == 0:
         raise ValueError("average precision is undefined without positives")
-    order = np.argsort(-scores, kind="stable")
-    ranked = labels[order].astype(np.float64)
-    cum = np.cumsum(ranked)
-    ranks = np.arange(1, ranked.size + 1)
-    return float((cum[ranked == 1] / ranks[ranked == 1]).sum() / positives)
+    ranked = labels[_rank(scores)].astype(np.float64)
+    hits = np.flatnonzero(ranked == 1)
+    return float((np.cumsum(ranked)[hits] / (hits + 1)).sum() / positives)
 
 
 @dataclass

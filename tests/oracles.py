@@ -88,6 +88,18 @@ def ap_oracle(scores, labels):
     return acc / total_pos
 
 
+def ap_stable_oracle(scores, labels):
+    """Frame AP ranked by one stable argsort of the float64 -scores: the
+    bitwise reference for evaluation.average_precision's ranking."""
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    labels = np.asarray(labels).reshape(-1)
+    order = np.argsort(-scores, kind="stable")
+    ranked = labels[order].astype(np.float64)
+    cum = np.cumsum(ranked)
+    ranks = np.arange(1, ranked.size + 1)
+    return float((cum[ranked == 1] / ranks[ranked == 1]).sum() / int(labels.sum()))
+
+
 def cauchy_column_oracle(x, gamma, T):
     """Scalar re-evaluation of the filter construction, plain Python floats."""
     xh = (T - 1) * (math.tanh(x) + 1) / 2

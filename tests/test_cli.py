@@ -284,6 +284,27 @@ def test_malformed_manifest_is_format_error(synth_dir, tmp_path, capsys):
         assert code == 2
 
 
+@pytest.mark.parametrize("key, absolute", [("feature_path", True),
+                                           ("label_path", True),
+                                           ("feature_path", False)],
+                         ids=["absolute-features", "absolute-labels", "not-a-string"])
+def test_manifest_path_not_relative_is_format_error(synth_dir, baseline_ckpt, tmp_path,
+                                                    capsys, key, absolute):
+    doc = json.loads((synth_dir / "manifest.json").read_text())
+    entry = doc["videos"][0]
+    # an absolute path to the file itself, which exists
+    entry[key] = str((synth_dir / entry[key]).resolve()) if absolute else 5
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="not a relative path"):
+        load_manifest(bad)
+    for argv in (["eval", "--data", str(bad), "--model", str(baseline_ckpt)],
+                 ["train", "--data", str(bad), "--out", str(tmp_path / "x.ckpt"),
+                  "--iters", "1", "--quiet"]):
+        code, _, err = run(capsys, argv)
+        assert code == 2 and key in err and "Traceback" not in err
+
+
 def test_synth_config_unknown_field_is_rejected(tmp_path, capsys):
     fields = {"num_videos": 2, "frame_rate": 30}
     with pytest.raises(ValueError, match="frame_rate"):

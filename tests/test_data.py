@@ -137,6 +137,24 @@ def test_label_byte_validation(tmp_path):
         save_labels(p, np.full((2, 2), 3, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("labels", [[[0.7, 1.0]], [[256, 1]], [[-255, 0]],
+                                    [[np.nan, 1.0]]],
+                         ids=["fraction", "wraps-to-0", "wraps-to-1", "nan"])
+def test_save_labels_checks_values_before_casting(tmp_path, labels):
+    p = tmp_path / "z.tsfl"
+    with pytest.raises(ValueError, match="0 or 1"):
+        save_labels(p, np.array(labels))
+    assert not p.exists()
+
+
+def test_save_labels_accepts_bools_and_whole_floats(tmp_path):
+    p = tmp_path / "z.tsfl"
+    save_labels(p, np.array([[True, False]]))
+    assert load_labels(p).tolist() == [[1, 0]]
+    save_labels(p, np.array([[0.0, 1.0]]))
+    assert load_labels(p).tolist() == [[0, 1]]
+
+
 # ---------------------------------------------------------------------------
 # generator
 # ---------------------------------------------------------------------------

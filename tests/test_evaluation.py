@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import ap_oracle
+from oracles import ap_oracle, ap_stable_oracle
+import superevents.evaluation as ev
 from superevents.data import Dataset, Video
 from superevents.evaluation import average_precision, evaluate
 from superevents.model import init_model
@@ -160,3 +162,76 @@ def test_report_json_schema_and_table():
     assert "mAP" in table and ds.class_names[0] in table
     assert 0.0 <= report.mean_ap <= 1.0
     assert report.mean_over([0]) == pytest.approx(report.ap_per_class[0])
+
+
+def _saturated_sigmoid(rng, n):
+    logits = rng.normal(0, 40, n)
+    logits[:2] = np.array([-800.0, 800.0])[:n]  # exactly 0.0 and 1.0 in float32
+    with np.errstate(over="ignore"):
+        return (1 / (1 + np.exp(-logits))).astype(np.float32)
+
+
+TIED_SCORES = {
+    "sigmoid-float32-saturated": _saturated_sigmoid,
+    "float64-1-decimal": lambda rng, n: np.round(rng.random(n), 1),
+    "float64-2-decimals": lambda rng, n: np.round(rng.random(n), 2),
+    "uint8": lambda rng, n: rng.integers(0, 256, n).astype(np.uint8),
+    "bool": lambda rng, n: rng.random(n) < 0.5,
+    "negative-int": lambda rng, n: rng.integers(-5, 5, n),
+    "int8-with-min": lambda rng, n: rng.choice(np.array([-128, -1, 0, 127], np.int8), n),
+    "signed-zeros-nans-float64": lambda rng, n: rng.choice([0.0, -0.0, 0.5, np.nan], n),
+    "signed-zeros-nans-float32": lambda rng, n: rng.choice(
+        np.array([0.0, -0.0, -0.5, np.inf, np.nan], np.float32), n),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 70_000])  # 70,000 > 2**16
+@pytest.mark.parametrize("kind", sorted(TIED_SCORES))
+def test_ap_bitwise_equals_stable_argsort(kind, n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        scores = TIED_SCORES[kind](rng, n)
+        labels = rng.integers(0, 2, n).astype(np.uint8)
+        labels[rng.integers(n)] = 1
+        assert average_precision(scores, labels) == ap_stable_oracle(scores, labels)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.inf, -np.inf, np.nan]),
+             min_size=1, max_size=40),
+    st.sampled_from([np.float32, np.float64]),
+    st.data(),
+)
+def test_ap_bitwise_equals_stable_argsort_on_tie_heavy_arrays(values, dtype, data):
+    scores = np.array(values, dtype=dtype)
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(values),
+                                         max_size=len(values))))
+    labels[data.draw(st.integers(0, len(values) - 1))] = 1
+    assert average_precision(scores, labels) == ap_stable_oracle(scores, labels)
+
+
+def test_ranking_refuses_more_frames_than_the_tie_break_key_holds(monkeypatch):
+    monkeypatch.setattr(ev, "_INDEX_BITS", 4)  # the key holds indices below 16
+    labels = np.tile([1, 0, 0], 5)
+    scores = np.round(np.linspace(0, 1, 15), 1)
+    assert average_precision(scores, labels) == ap_stable_oracle(scores, labels)
+    with pytest.raises(ValueError, match="tie-break key"):
+        average_precision(np.zeros(16), np.ones(16))
+
+
+def test_evaluate_json_is_bytewise_the_stable_argsort_report(monkeypatch):
+    rng = np.random.default_rng(8)
+    ds = make_dataset(rng, videos=5, T=40, D=4, C=4)
+    attended = init_model("attended", ds.feature_dim, ds.num_classes, ds.class_names,
+                          3, 2, 0, rng)
+    constant = init_model("baseline", ds.feature_dim, ds.num_classes, ds.class_names,
+                          0, 0, 0, rng)
+    for params in constant.params.values():
+        params[...] = 0  # every probability is 0.5: one tie over all frames
+    for state in (attended, constant):
+        got = evaluate(state, ds).to_json()
+        monkeypatch.setattr(ev, "average_precision", ap_stable_oracle)
+        want = evaluate(state, ds).to_json()
+        monkeypatch.undo()
+        assert got == want
