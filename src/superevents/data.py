@@ -188,8 +188,15 @@ def load_manifest(path) -> DatasetManifest:
     missing = [key for key in ("class_names", "feature_dim", "videos") if key not in doc]
     if missing:
         raise FormatError(f"{path}: manifest lacks {', '.join(missing)}")
+    names, dim, videos = doc["class_names"], doc["feature_dim"], doc["videos"]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise FormatError(f"{path}: class_names must be a list of strings")
+    if type(dim) is not int or dim < 0:
+        raise FormatError(f"{path}: feature_dim {dim!r} is not a non-negative integer")
+    if not isinstance(videos, list):
+        raise FormatError(f"{path}: videos must be a list, got {videos!r}")
     video_keys = {f.name for f in fields(VideoEntry)}
-    for v in doc["videos"]:
+    for v in videos:
         if not isinstance(v, dict) or set(v) != video_keys:
             raise FormatError(
                 f"{path}: video entry {v!r} must have exactly the keys "
@@ -198,11 +205,13 @@ def load_manifest(path) -> DatasetManifest:
         for key in ("feature_path", "label_path"):
             if not isinstance(v[key], str) or Path(v[key]).is_absolute():
                 raise FormatError(f"{path}: {key} {v[key]!r} is not a relative path")
-    return DatasetManifest(
-        class_names=list(doc["class_names"]),
-        feature_dim=int(doc["feature_dim"]),
-        videos=[VideoEntry(**v) for v in doc["videos"]],
-    )
+        if type(v["length"]) is not int or v["length"] < 0:
+            raise FormatError(
+                f"{path}: length {v['length']!r} of video {v['id']!r} is not a "
+                f"non-negative integer"
+            )
+    return DatasetManifest(class_names=list(names), feature_dim=dim,
+                           videos=[VideoEntry(**v) for v in videos])
 
 
 def split_manifest(manifest: DatasetManifest, n_train: int):

@@ -1,11 +1,11 @@
 """Per-frame multi-label sigmoid scores and the detector's loss.
 
 Class c is scored from the concatenation [v_t, S_c] of the frame feature and
-that class's context vector, or from the frame feature alone when there is no
-context; the head carries a bias. The relative variant's per-frame context
-never reaches this module: its context weights are folded into its kernels
-(see pooling.pool_relative), which return the (T, C) context scores that are
-added to the frame-only logits. The loss is the mean binary cross-entropy over all
+that class's context, with a bias. The head is linear, so that score is the
+frame-only score frame_logits computes plus a context score the model adds
+(model._forward): one constant per class for the global variants, and a
+(T, C) score for relative, whose context weights are folded into its kernels
+(see pooling.pool_relative). The loss is the mean binary cross-entropy over all
 (frame, class) cells, computed from logits in the fused log-sum-exp form
 (never log of a saturated sigmoid), with logits clamped to [-30, 30].
 
@@ -34,30 +34,13 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
 
 
-def frame_logits(weight: np.ndarray, bias: np.ndarray, features: np.ndarray,
-                 context: np.ndarray | None = None) -> np.ndarray:
-    """Linear scores (T, C); context is None or per-class (C, K)."""
+def frame_logits(weight: np.ndarray, bias: np.ndarray,
+                 features: np.ndarray) -> np.ndarray:
+    """Frame-only linear scores (T, C) = features @ weight.T + bias."""
     features = np.asarray(features)
-    d = features.shape[1]
-    if context is None:
-        if weight.shape[1] != d:
-            raise ValueError("weight width does not match the feature dimension")
-        return features @ weight.T + bias
-
-    context = np.asarray(context)
-    if context.ndim != 2:
-        raise ValueError("context must be a 2-D (C, K) array")
-    if weight.shape[1] != d + context.shape[1]:
-        raise ValueError(
-            f"weight width {weight.shape[1]} != feature {d} + context "
-            f"{context.shape[1]}"
-        )
-    if context.shape[0] != weight.shape[0]:
-        raise ValueError("context rows must match the class count")
-    w_frame = weight[:, :d]
-    w_ctx = weight[:, d:]
-    logits = features @ w_frame.T + bias
-    return logits + (w_ctx * context).sum(axis=1)
+    if weight.shape[1] != features.shape[1]:
+        raise ValueError("weight width does not match the feature dimension")
+    return features @ weight.T + bias
 
 
 def _clamped(logits: np.ndarray):

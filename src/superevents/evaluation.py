@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import ModelDatasetMismatchError
-from .model import ModelState, predict_probabilities
+from .model import ModelState, check_compatible, predict_probabilities
 
 __all__ = ["EvalReport", "average_precision", "evaluate", "PROTOCOL"]
 
@@ -109,17 +108,7 @@ class EvalReport:
 
 def evaluate(state: ModelState, dataset: Dataset) -> EvalReport:
     """Score every frame of every video (no dropout) and report per-class AP."""
-    if (state.feature_dim != dataset.feature_dim
-            or state.num_classes != dataset.num_classes):
-        raise ModelDatasetMismatchError(
-            f"model dims (D={state.feature_dim}, C={state.num_classes}) do not match "
-            f"dataset (D={dataset.feature_dim}, C={dataset.num_classes})"
-        )
-    if list(state.class_names) != list(dataset.class_names):
-        raise ModelDatasetMismatchError(
-            f"model classes {list(state.class_names)} do not match dataset classes "
-            f"{list(dataset.class_names)}"
-        )
+    check_compatible(state, dataset)
     scores = []
     labels = []
     for video in dataset.videos:

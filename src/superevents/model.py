@@ -13,9 +13,12 @@ detection variant:
 * ``relative``                  — as attended, filters materialized at the
                                   fixed kernel length L instead of T
 
-``loss_and_grads`` returns the mean BCE over (frame, class) cells and exact
-hand-derived gradients for every parameter, obtained by chaining the filter,
-pooling and detector backward passes. All functions are pure in the
+Each variant's forward is built in one place, ``_forward``: the frame-only
+logits plus the variant's context score. ``forward_logits`` (eval and
+gradcheck's finite differences) returns its logits; ``loss_and_grads``
+(training) runs it, then returns the mean BCE over (frame, class) cells and
+exact hand-derived gradients for every parameter, obtained by chaining the
+detector, pooling and filter backward passes. All functions are pure in the
 parameters and dtype-preserving; checkpoints round-trip bit for bit.
 """
 
@@ -32,6 +35,7 @@ from . import detector, pooling
 from .errors import (
     BadMagicError,
     FormatError,
+    ModelDatasetMismatchError,
     TruncatedPayloadError,
     UnsupportedVersionError,
 )
@@ -43,6 +47,7 @@ __all__ = [
     "FILTER_VARIANTS",
     "ModelState",
     "init_model",
+    "check_compatible",
     "context_dim",
     "forward_logits",
     "predict_probabilities",
@@ -84,14 +89,21 @@ class ModelState:
     rng_state: dict | None = None
     config: dict = field(default_factory=dict)
 
-    def parameter_names(self) -> list[str]:
-        return sorted(self.params)
 
-    def clone_params(self, dtype=None) -> dict[str, np.ndarray]:
-        return {
-            k: (v.astype(dtype) if dtype is not None else v.copy())
-            for k, v in self.params.items()
-        }
+def check_compatible(state: ModelState, dataset) -> None:
+    """Raise ModelDatasetMismatchError unless the dataset has the model's
+    feature dim D, class count C and ordered class names."""
+    if (state.feature_dim != dataset.feature_dim
+            or state.num_classes != dataset.num_classes):
+        raise ModelDatasetMismatchError(
+            f"model dims (D={state.feature_dim}, C={state.num_classes}) do not match "
+            f"dataset (D={dataset.feature_dim}, C={dataset.num_classes})"
+        )
+    if list(state.class_names) != list(dataset.class_names):
+        raise ModelDatasetMismatchError(
+            f"model classes {list(state.class_names)} do not match dataset classes "
+            f"{list(dataset.class_names)}"
+        )
 
 
 def context_dim(variant: str, feature_dim: int, num_distributions: int) -> int:
@@ -157,36 +169,45 @@ def init_model(variant: str, feature_dim: int, num_classes: int,
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def _context(params, variant, features):
-    """Per-class context (C, K) fed to the classifier, or None for baseline.
-    Not used by relative, whose context weights are folded into its kernels
-    (pooling.pool_relative)."""
+def _forward(state: ModelState, features: np.ndarray):
+    """Logits (T, C) and the cache loss_and_grads' backward reads.
+
+    The classifier is linear, so the logits are the frame-only scores plus
+    the variant's context score: one constant per class for the global
+    variants (cached: their (C, K) context, or the (K,) one every class
+    shares for max/mean/pyramid3), a (T, C) score for relative (cached:
+    pooling._relative_state's cache), and nothing for baseline (None).
+    """
+    p, variant = state.params, state.variant
+    features = np.asarray(features)
+    d = state.feature_dim
+    w = p["classifier_weight"]
+    # rejects features whose width is not the model's D
+    logits = detector.frame_logits(w[:, :d], p["classifier_bias"], features)
     if variant == "baseline":
-        return None
+        return logits, None
+    if variant == "relative":
+        stack, _, _, _ = materialize_stack(p["filter_centers"], p["filter_widths"],
+                                           state.kernel_length)
+        scores, cache = pooling._relative_state(stack, p["attention_logits"],
+                                                w[:, d:], features,
+                                                RelativeConfig(state.kernel_length))
+        return logits + scores, cache
     if variant in baseline_context_blocks:
         ctx = pooling.pool_baseline(variant, features)
-        return np.broadcast_to(ctx, (params["classifier_weight"].shape[0],) + ctx.shape)
-    stack, _, _, _ = materialize_stack(
-        params["filter_centers"], params["filter_widths"], features.shape[0]
-    )
-    if variant == "single":
-        return pooling.pool_single(stack, features)
-    return pooling.pool_attended(stack, params["attention_logits"], features)
+    else:
+        stack, _, _, _ = materialize_stack(p["filter_centers"], p["filter_widths"],
+                                           features.shape[0])
+        if variant == "single":
+            ctx = pooling.pool_single(stack, features)
+        else:
+            ctx = pooling.pool_attended(stack, p["attention_logits"], features)
+    return logits + (w[:, d:] * ctx).sum(axis=1), ctx
 
 
 def forward_logits(state: ModelState, features: np.ndarray) -> np.ndarray:
     """Per-frame class scores (T, C) before the sigmoid."""
-    p = state.params
-    w, b = p["classifier_weight"], p["classifier_bias"]
-    if state.variant != "relative":
-        return detector.frame_logits(w, b, features,
-                                     _context(p, state.variant, features))
-    d = features.shape[1]
-    stack, _, _, _ = materialize_stack(p["filter_centers"], p["filter_widths"],
-                                       state.kernel_length)
-    scores = pooling.pool_relative(stack, p["attention_logits"], w[:, d:], features,
-                                   RelativeConfig(state.kernel_length))
-    return detector.frame_logits(w[:, :d], b, features) + scores
+    return _forward(state, features)[0]
 
 
 def predict_probabilities(state: ModelState, features: np.ndarray) -> np.ndarray:
@@ -194,23 +215,13 @@ def predict_probabilities(state: ModelState, features: np.ndarray) -> np.ndarray
 
 
 def loss_and_grads(state: ModelState, features: np.ndarray, labels: np.ndarray):
-    """Mean BCE and exact gradients for every parameter tensor."""
+    """Mean BCE and exact gradients for every parameter tensor: _forward,
+    then its backward."""
     p = state.params
     variant = state.variant
     features = np.asarray(features)
     T, D = features.shape
-    w, b = p["classifier_weight"], p["classifier_bias"]
-    if variant == "relative":
-        length = state.kernel_length
-        stack, _, _, _ = materialize_stack(p["filter_centers"], p["filter_widths"],
-                                           length)
-        scores, rel_cache = pooling._relative_state(
-            stack, p["attention_logits"], w[:, D:], features, RelativeConfig(length)
-        )
-        logits = detector.frame_logits(w[:, :D], b, features) + scores
-    else:
-        ctx = _context(p, variant, features)
-        logits = detector.frame_logits(w, b, features, ctx)
+    logits, cache = _forward(state, features)
     loss = detector.bce_loss(logits, labels)
     dlogits = detector.bce_backward(logits, labels)
 
@@ -222,16 +233,17 @@ def loss_and_grads(state: ModelState, features: np.ndarray, labels: np.ndarray):
         return loss, grads
 
     if variant == "relative":
-        d_stack, d_logits_att, d_w_ctx = pooling._relative_grads(rel_cache, dlogits)
+        length = state.kernel_length
+        d_stack, d_logits_att, d_w_ctx = pooling._relative_grads(cache, dlogits)
         grads["classifier_weight"] = np.concatenate([d_w_frame, d_w_ctx], axis=1)
         grads["attention_logits"] = d_logits_att
     else:
         # the context is constant over frames, so its gradients are per class
-        grads["classifier_weight"] = np.concatenate([d_w_frame, col[:, None] * ctx],
+        grads["classifier_weight"] = np.concatenate([d_w_frame, col[:, None] * cache],
                                                     axis=1)
         if variant in baseline_context_blocks:
             return loss, grads
-        d_ctx = col[:, None] * w[:, D:]
+        d_ctx = col[:, None] * p["classifier_weight"][:, D:]
         length = T
         stack, _, _, _ = materialize_stack(p["filter_centers"], p["filter_widths"],
                                            length)

@@ -22,6 +22,11 @@ are fixed inputs, so no gradient flows to them):
 * pool_baseline    — parameter-free global max / mean / 3-level temporal
                      pyramid poolings.
 
+The model scores a global context S_c through its classifier's context
+weights as sum_k w_c[k] S_c[k], one constant per class and video;
+pool_relative returns that score per frame directly, and the model calls
+_relative_state, which also returns the cache _relative_grads reads.
+
 Because filter columns sum to one, every coordinate pool_single and
 pool_attended return is a convex combination of that feature coordinate over
 frames.
@@ -47,11 +52,8 @@ __all__ = [
     "pool_attended_backward",
     "pool_relative",
     "pool_baseline",
-    "BASELINE_KINDS",
     "baseline_context_blocks",
 ]
-
-BASELINE_KINDS = ("max", "mean", "pyramid3")
 
 # blocks of length D each kind concatenates
 baseline_context_blocks = {"max": 1, "mean": 1, "pyramid3": 7}

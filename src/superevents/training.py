@@ -26,7 +26,8 @@ import numpy as np
 from .data import Dataset
 from .detector import bce_loss
 from .errors import NumericError
-from .model import ModelState, forward_logits, init_model, loss_and_grads
+from .model import (ModelState, check_compatible, forward_logits, init_model,
+                    loss_and_grads)
 from .pooling import RelativeConfig
 
 __all__ = [
@@ -153,12 +154,7 @@ def train(config: TrainConfig, dataset: Dataset, state: ModelState | None = None
                 f"checkpoint was trained as {state.variant!r}, requested "
                 f"{config.variant!r}"
             )
-        if (state.feature_dim != dataset.feature_dim
-                or state.num_classes != dataset.num_classes):
-            raise ValueError(
-                f"model dims (D={state.feature_dim}, C={state.num_classes}) do not "
-                f"match dataset (D={dataset.feature_dim}, C={dataset.num_classes})"
-            )
+        check_compatible(state, dataset)
 
     rng = _restore_rng(state)
     num_videos = len(dataset.videos)

@@ -1,5 +1,5 @@
 """The names the package exports, and the names the benchmark's tracer wraps,
-all exist.
+all exist, and every exported name has a use besides its tests.
 
 The benchmark (``bench/``) replaces package functions by timing wrappers,
 looked up by ``(module, name)`` in ``bench/spans.py``; a deleted or renamed
@@ -10,13 +10,15 @@ benchmark run.
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import superevents
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 MODULES = [superevents] + [
     importlib.import_module(f"superevents.{info.name}")
@@ -48,3 +50,30 @@ def test_bench_span_targets_resolve():
     missing = [(module, name) for module, name, _ in targets
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"bench/spans.py TARGETS that do not resolve: {missing}"
+
+
+def names_read_in_src():
+    """Every name the package's code reads, as a variable or an attribute;
+    a definition, an import and an ``__all__`` entry are not reads."""
+    read = set()
+    for path in Path(superevents.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+def test_every_exported_name_is_used_outside_its_tests():
+    # no public function exists only for its tests: each submodule's __all__
+    # name is read by the package's code, documented in README.md, or wrapped
+    # by the benchmark's tracer
+    read = names_read_in_src()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    traced = {name for _, name, _ in bench_targets()}
+    unused = [f"{module.__name__}.{name}" for module in MODULES[1:]
+              for name in getattr(module, "__all__", ())
+              if name not in read | traced
+              and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert not unused, f"exported but used only by tests: {unused}"

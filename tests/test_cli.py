@@ -9,6 +9,7 @@ from superevents.data import SynthConfig, load_dataset, load_manifest
 from superevents.errors import FormatError, ModelDatasetMismatchError
 from superevents.evaluation import evaluate
 from superevents.model import load_checkpoint
+from superevents.training import TrainConfig, train
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +189,26 @@ def test_eval_class_name_mismatch_is_io_error(synth_dir, baseline_ckpt, tmp_path
     assert code == 2 and str(names) in err and str(dataset.class_names) in err
 
 
+def test_train_resume_class_name_mismatch_is_io_error(synth_dir, baseline_ckpt,
+                                                    tmp_path, capsys):
+    # same D and C, classes in another order: the resumed run would train each
+    # class's weights on another class's labels
+    doc = json.loads((synth_dir / "manifest_train.json").read_text())
+    doc["class_names"].reverse()
+    reordered = synth_dir / "manifest_train_reordered.json"
+    reordered.write_text(json.dumps(doc))
+    with pytest.raises(ModelDatasetMismatchError):
+        train(TrainConfig(variant="baseline", iterations=2), load_dataset(reordered),
+              state=load_checkpoint(baseline_ckpt))
+    out = tmp_path / "resumed.ckpt"
+    code, _, err = run(capsys, ["train", "--data", str(reordered), "--variant",
+                                "baseline", "--out", str(out), "--iters", "2",
+                                "--batch", "1", "--resume", str(baseline_ckpt),
+                                "--quiet"])
+    assert code == 2 and str(doc["class_names"]) in err and "Traceback" not in err
+    assert not out.exists()  # refused before training, not at the final eval
+
+
 def test_checkpoint_missing_header_key_is_format_error(synth_dir, baseline_ckpt,
                                                        tmp_path, capsys):
     keys = list(rewrite_header(baseline_ckpt, tmp_path / "copy.ckpt", lambda h: None))
@@ -271,7 +292,14 @@ def test_malformed_manifest_is_format_error(synth_dir, tmp_path, capsys):
     docs = [[good]]  # not a JSON object
     for edit in (lambda d: d["videos"][0].pop("length"),
                  lambda d: d["videos"][0].update(fps=30),
-                 lambda d: d.pop("videos")):
+                 lambda d: d.pop("videos"),
+                 lambda d: d.update(videos=5),
+                 lambda d: d["videos"][0].update(length=str(d["videos"][0]["length"])),
+                 lambda d: d["videos"][0].update(length=-1),
+                 lambda d: d.update(feature_dim=str(d["feature_dim"])),
+                 lambda d: d.update(feature_dim=float(d["feature_dim"])),
+                 lambda d: d.update(class_names=",".join(d["class_names"])),
+                 lambda d: d.update(class_names=[None] * len(d["class_names"]))):
         doc = json.loads(json.dumps(good))
         edit(doc)
         docs.append(doc)

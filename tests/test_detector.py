@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from superevents.detector import bce_backward, bce_loss, frame_logits, sigmoid
-from superevents.model import VARIANTS, init_model, loss_and_grads, predict_probabilities
-
-
-def probs(weight, bias, features, context=None):
-    return sigmoid(frame_logits(weight, bias, features, context))
+from superevents.model import (VARIANTS, forward_logits, init_model, loss_and_grads,
+                               predict_probabilities)
 
 
 def masked_sigmoid(x):
@@ -37,53 +34,76 @@ def test_sigmoid_bitwise_matches_masked_branches(dtype):
         assert got.tobytes() == want.tobytes()
 
 
+GLOBAL = ("max", "mean", "pyramid3", "single", "attended")
+
+
+def model(variant, D, C, rng, N=2, M=2):
+    """A float64 model; the filter variants' filters start at init_model's."""
+    return init_model(variant, D, C, [f"c{i}" for i in range(C)], N, M, 3, rng,
+                      dtype=np.float64)
+
+
 def test_zero_params_give_half():
-    v = np.random.default_rng(0).normal(size=(4, 3))
-    S = np.random.default_rng(1).normal(size=(2, 2))
-    np.testing.assert_allclose(probs(np.zeros((2, 5)), np.zeros(2), v, S), 0.5,
-                               atol=1e-12)
-    np.testing.assert_allclose(probs(np.zeros((2, 3)), np.zeros(2), v), 0.5, atol=1e-12)
+    rng = np.random.default_rng(0)
+    v = rng.normal(size=(4, 3))
+    for variant in ("baseline",) + GLOBAL:
+        state = model(variant, 3, 2, rng)
+        state.params["classifier_weight"][:] = 0.0
+        state.params["classifier_bias"][:] = 0.0
+        np.testing.assert_allclose(predict_probabilities(state, v), 0.5, atol=1e-12)
 
 
 def test_large_bias_saturates():
     v = np.ones((3, 2))
-    S = np.ones((1, 2))
-    assert np.all(probs(np.zeros((1, 4)), np.array([30.0]), v, S) >= 1 - 1e-9)
-    assert np.all(probs(np.zeros((1, 2)), np.array([30.0]), v) >= 1 - 1e-9)
+    for variant in ("baseline",) + GLOBAL:
+        state = model(variant, 2, 1, np.random.default_rng(1))
+        state.params["classifier_weight"][:] = 0.0
+        state.params["classifier_bias"][:] = 30.0
+        assert np.all(predict_probabilities(state, v) >= 1 - 1e-9)
 
 
 def test_explicit_scalar_logit():
-    # T=2, C=1, D=1, N=1: logit = w_v*v + w_s*S + b worked out by hand
+    # T=2, C=1, D=1, mean context S = mean(v) = 2:
+    # logit = w_v*v + w_s*S + b worked out by hand
     v = np.array([[1.0], [3.0]])
-    S = np.array([[0.25]])
-    expect0 = 1 / (1 + math.exp(-(2 * 1 - 1 * 0.25 + 0.5)))
-    expect1 = 1 / (1 + math.exp(-(2 * 3 - 1 * 0.25 + 0.5)))
-    got = probs(np.array([[2.0, -1.0]]), np.array([0.5]), v, S)
+    state = model("mean", 1, 1, np.random.default_rng(2))
+    state.params["classifier_weight"][:] = [[2.0, -1.0]]
+    state.params["classifier_bias"][:] = 0.5
+    expect0 = 1 / (1 + math.exp(-(2 * 1 - 1 * 2.0 + 0.5)))
+    expect1 = 1 / (1 + math.exp(-(2 * 3 - 1 * 2.0 + 0.5)))
+    got = predict_probabilities(state, v)
     np.testing.assert_allclose(got[:, 0], [expect0, expect1], rtol=1e-12)
     # the head without context on the same features
+    state = model("baseline", 1, 1, np.random.default_rng(2))
+    state.params["classifier_weight"][:] = 1.0
     b0 = 1 / (1 + math.exp(-1.0))
-    np.testing.assert_allclose(probs(np.array([[1.0]]), np.array([0.0]), v)[0, 0], b0,
-                               rtol=1e-12)
+    np.testing.assert_allclose(predict_probabilities(state, v)[0, 0], b0, rtol=1e-12)
 
 
 def test_zero_context_block_matches_baseline_bitwise():
     rng = np.random.default_rng(2)
-    D, K, C, T = 4, 6, 3, 5
-    w = rng.normal(size=(C, D + K))
-    w[:, D:] = 0.0
-    b = rng.normal(size=C)
+    D, C, T = 4, 3, 5
     v = rng.normal(size=(T, D))
-    S = rng.normal(size=(C, K))
-    assert np.array_equal(probs(w, b, v, S), probs(w[:, :D].copy(), b, v))
+    for variant in GLOBAL:
+        state = model(variant, D, C, rng)
+        state.params["classifier_weight"][:, D:] = 0.0
+        state.params["classifier_bias"][:] = rng.normal(size=C)
+        base = model("baseline", D, C, rng)
+        base.params["classifier_weight"][:] = state.params["classifier_weight"][:, :D]
+        base.params["classifier_bias"][:] = state.params["classifier_bias"]
+        assert np.array_equal(predict_probabilities(state, v),
+                              predict_probabilities(base, v)), variant
 
 
 def test_outputs_strictly_inside_unit_interval():
     rng = np.random.default_rng(3)
-    w = rng.normal(0, 0.5, (3, 6))
-    b = rng.normal(0, 0.5, 3)
     v = rng.normal(0, 3, size=(10, 4))
-    out = probs(w, b, v, rng.normal(size=(3, 2)))
-    assert np.all(out > 0) and np.all(out < 1)
+    for variant in GLOBAL:
+        state = model(variant, 4, 3, rng)
+        for w in state.params.values():
+            w[:] = rng.normal(0, 0.5, w.shape)
+        out = predict_probabilities(state, v)
+        assert np.all(out > 0) and np.all(out < 1), variant
 
 
 def test_shape_mismatches():
@@ -91,14 +111,16 @@ def test_shape_mismatches():
     w = rng.normal(0, 0.5, (2, 5))
     b = rng.normal(0, 0.5, 2)
     with pytest.raises(ValueError):
-        frame_logits(w, b, rng.normal(size=(4, 5)), rng.normal(size=(2, 2)))
-    with pytest.raises(ValueError):
-        frame_logits(w, b, rng.normal(size=(4, 3)), rng.normal(size=(3, 2)))
+        frame_logits(w, b, rng.normal(size=(4, 3)))
+    # features of another width than the model's D, including the widths at
+    # which a global context would broadcast silently against its weights
+    for variant in GLOBAL:
+        state = model(variant, 3, 2, rng, N=1)
+        for width in (1, 2, 4, 5):
+            with pytest.raises(ValueError, match="feature dimension"):
+                forward_logits(state, rng.normal(size=(4, width)))
     with pytest.raises(ValueError):
         bce_loss(np.zeros((2, 2)), np.zeros((2, 3)))
-    # no per-frame (T, C, K) context: relative folds it into its kernels
-    with pytest.raises(ValueError, match="2-D"):
-        frame_logits(w, b, rng.normal(size=(4, 3)), rng.normal(size=(4, 2, 2)))
 
 
 def test_bce_zero_logits_is_ln2():

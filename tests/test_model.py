@@ -92,6 +92,18 @@ def test_loss_decreases_along_gradient():
         assert loss1 < loss0, variant
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_training_loss_is_bce_of_eval_logits_bitwise(dtype):
+    # training, eval and gradcheck's finite differences share one forward
+    rng = np.random.default_rng(9)
+    for variant in VARIANTS:
+        state = make_state(variant, rng, dtype=dtype)
+        v = rng.normal(size=(11, 4)).astype(dtype)
+        z = rng.integers(0, 2, (11, 3)).astype(np.uint8)
+        loss, _ = loss_and_grads(state, v, z)
+        assert loss == bce_loss(forward_logits(state, v), z), variant
+
+
 def fd_check(state, v, z, h=1e-5, tol=1e-4):
     _, analytic = loss_and_grads(state, v, z)
 
