@@ -19,15 +19,16 @@ import numpy as np
 from . import __version__
 from .data import (
     SynthConfig,
+    check_fields,
     dataset_stats,
     generate_synthetic,
     load_dataset,
     split_manifest,
     save_manifest,
-    load_manifest,
+    parse_json,
     verify_paired_rules,
 )
-from .errors import FormatError, NumericError
+from .errors import NumericError
 from .evaluation import evaluate
 from .filters import materialize_stack
 from .model import FILTER_VARIANTS, VARIANTS, load_checkpoint, save_checkpoint
@@ -40,6 +41,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+
+
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,6 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--quiet", action="store_true", help="suppress the CSV stream")
+    p.set_defaults(usage_error=p.error)  # for what TrainConfig.validate rejects
 
     p = sub.add_parser("eval", help="evaluate a checkpoint (frame mAP)")
     p.add_argument("--data", required=True, help="dataset manifest JSON")
@@ -95,14 +103,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="verify analytic gradients")
     p.add_argument("--variant", choices=VARIANTS, default="attended")
     p.add_argument("--seed", type=int, default=0, help="first instance seed")
-    p.add_argument("--instances", type=int, default=1)
-    p.add_argument("--filters", type=int, default=5, metavar="M")
-    p.add_argument("--gaussians", type=int, default=3, metavar="N")
+    p.add_argument("--instances", type=positive_int, default=1)
+    p.add_argument("--filters", type=positive_int, default=5, metavar="M")
+    p.add_argument("--gaussians", type=positive_int, default=3, metavar="N")
 
     p = sub.add_parser("export-filters",
                        help="per-class attention-combined filter matrices as JSON")
     p.add_argument("--model", required=True, help="checkpoint path")
-    p.add_argument("--T", type=int, required=True, help="sequence length to evaluate at")
+    p.add_argument("--T", type=positive_int, required=True,
+                   help="sequence length to evaluate at")
     p.add_argument("--out", required=True, help="JSON path to write")
     return parser
 
@@ -110,9 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_synth(args) -> int:
     cfg_fields = {}
     if args.config:
-        cfg_fields = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(cfg_fields, dict):
-            raise FormatError(f"{args.config}: synth config must be a JSON object")
+        doc = parse_json(Path(args.config).read_bytes(), args.config, "synth config")
+        cfg_fields = check_fields(doc, (), args.config, "synth config")
     overrides = {
         "seed": args.seed,
         "num_videos": args.videos,
@@ -156,7 +164,11 @@ def _cmd_train(args) -> int:
         kernel_length=args.kernel,
         seed=args.seed,
         variant=args.variant,
-    ).validate()
+    )
+    try:
+        config.validate()
+    except ValueError as exc:
+        args.usage_error(str(exc))
     dataset = load_dataset(args.data)
     state = load_checkpoint(args.resume) if args.resume else None
 
@@ -209,8 +221,6 @@ def _cmd_export_filters(args) -> int:
         raise ValueError(
             f"checkpoint variant {state.variant!r} has no temporal structure filters"
         )
-    if args.T < 1:
-        raise ValueError("--T must be >= 1")
 
     values, frame_centers, scales, _ = materialize_stack(
         state.params["filter_centers"].astype(np.float64),
@@ -261,14 +271,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # a usage error, --help or --version
+        return int(exc.code or 0)
     except NumericError as exc:
         print(f"superevents: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, FormatError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"superevents: error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -1,6 +1,7 @@
-"""Dataset I/O and the synthetic multi-activity benchmark generator.
+"""Dataset I/O, the rules of every file format, and the synthetic
+multi-activity benchmark generator.
 
-Binary formats (the public data contract; little-endian throughout):
+File formats (the public data contract; little-endian throughout):
 
 * features — magic ``TSFV``, u32 version (=1), u32 T, u32 D, then T*D
   float32 values, frame-major.
@@ -9,6 +10,12 @@ Binary formats (the public data contract; little-endian throughout):
 * manifest — UTF-8 JSON: schema_version, class_names, feature_dim, and a
   video list of {id, feature_path, label_path, length}; paths are relative
   to the manifest's directory.
+
+Checkpoints (``model``) are the third binary format. ``write_container``
+and ``read_container`` serve all three (reading checks every declared
+size, truncation and trailing bytes); ``parse_json`` and ``check_fields``,
+one table of field checks, serve all JSON. A malformed file is a
+``FormatError`` naming the file and what is wrong with it.
 
 The generator builds videos whose ambiguous class pairs share an identical
 per-frame emission vector and differ only in which trigger class precedes
@@ -22,6 +29,7 @@ threaded and fully determined by the config seed.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
@@ -41,6 +49,10 @@ __all__ = [
     "FEATURE_MAGIC",
     "LABEL_MAGIC",
     "FORMAT_VERSION",
+    "write_container",
+    "read_container",
+    "parse_json",
+    "check_fields",
     "VideoEntry",
     "DatasetManifest",
     "Video",
@@ -71,56 +83,76 @@ MAX_ELEMENTS = 1 << 31
 
 
 # ---------------------------------------------------------------------------
-# binary tensor files
+# binary files
 # ---------------------------------------------------------------------------
 
-def _write_tensor(path, magic, rows, cols, payload: bytes):
-    header = magic + struct.pack("<III", FORMAT_VERSION, rows, cols)
-    Path(path).write_bytes(header + payload)
+def write_container(path, magic: bytes, header: bytes, arrays) -> None:
+    """Magic, u32 FORMAT_VERSION, the header, then each array's bytes,
+    little-endian and C-ordered."""
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<I", FORMAT_VERSION) + header)
+        for arr in arrays:
+            fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
-def _read_header(raw: bytes, magic: bytes, path):
-    if len(raw) < 16:
-        raise TruncatedPayloadError(f"{path}: file shorter than its header")
-    if raw[:4] != magic:
+def read_container(path, magic: bytes, layout):
+    """(header, arrays) of a file write_container wrote. ``layout(take)``
+    parses the header through ``take(n)``, the next n bytes, and returns it
+    with a ``(name, numpy dtype, shape)`` per array. Sizes are Python ints,
+    so no shape wraps."""
+    raw = Path(path).read_bytes()
+    offset = 0
+
+    def take(n):
+        nonlocal offset
+        if len(raw) < offset + n:
+            raise TruncatedPayloadError(f"{path}: file ends inside its header")
+        offset += n
+        return raw[offset - n : offset]
+
+    if take(4) != magic:
         raise BadMagicError(f"{path}: expected magic {magic!r}, found {raw[:4]!r}")
-    version, rows, cols = struct.unpack("<III", raw[4:16])
+    (version,) = struct.unpack("<I", take(4))
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(f"{path}: unsupported format version {version}")
-    if rows == 0 or cols == 0:
-        raise FormatError(f"{path}: zero dimension ({rows} x {cols})")
-    if rows * cols > MAX_ELEMENTS:
-        raise DimensionOverflowError(
-            f"{path}: declared {rows} x {cols} elements exceeds the "
-            f"{MAX_ELEMENTS} sanity bound"
-        )
-    return rows, cols
-
-
-def _read_payload(raw: bytes, rows, cols, itemsize, path):
-    expected = 16 + rows * cols * itemsize
+    header, specs = layout(take)
+    for name, _, shape in specs:
+        if math.prod(shape) > MAX_ELEMENTS:
+            raise DimensionOverflowError(f"{path}: {name} of shape {list(shape)} "
+                                         f"exceeds the {MAX_ELEMENTS}-element bound")
+    expected = offset + sum(dt.itemsize * math.prod(shape) for _, dt, shape in specs)
     if len(raw) < expected:
-        raise TruncatedPayloadError(
-            f"{path}: truncated payload, need {expected} bytes, have {len(raw)}"
-        )
+        raise TruncatedPayloadError(f"{path}: truncated payload, need {expected} "
+                                    f"bytes, have {len(raw)}")
     if len(raw) > expected:
         raise FormatError(f"{path}: {len(raw) - expected} trailing bytes")
-    return raw[16:expected]
+    arrays = []
+    for _, dtype, shape in specs:
+        arr = np.frombuffer(raw, dtype, math.prod(shape), offset).reshape(shape)
+        arrays.append(arr.astype(dtype.newbyteorder("=")))
+        offset += arr.nbytes
+    return header, arrays
+
+
+def _load_matrix(path, magic: bytes, dtype: np.dtype) -> np.ndarray:
+    def layout(take):
+        rows, cols = struct.unpack("<II", take(8))
+        if rows == 0 or cols == 0:
+            raise FormatError(f"{path}: zero dimension ({rows} x {cols})")
+        return None, [("payload", dtype, (rows, cols))]
+
+    return read_container(path, magic, layout)[1][0]
 
 
 def save_features(path, features: np.ndarray) -> None:
     features = np.ascontiguousarray(features, dtype="<f4")
     if features.ndim != 2:
         raise ValueError("features must be T x D")
-    _write_tensor(path, FEATURE_MAGIC, features.shape[0], features.shape[1],
-                  features.tobytes())
+    write_container(path, FEATURE_MAGIC, struct.pack("<II", *features.shape), [features])
 
 
 def load_features(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    t, d = _read_header(raw, FEATURE_MAGIC, path)
-    payload = _read_payload(raw, t, d, 4, path)
-    return np.frombuffer(payload, dtype="<f4").reshape(t, d).astype(np.float32)
+    return _load_matrix(path, FEATURE_MAGIC, np.dtype("<f4"))
 
 
 def save_labels(path, labels: np.ndarray) -> None:
@@ -130,18 +162,76 @@ def save_labels(path, labels: np.ndarray) -> None:
     if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    _write_tensor(path, LABEL_MAGIC, labels.shape[0], labels.shape[1],
-                  labels.tobytes())
+    write_container(path, LABEL_MAGIC, struct.pack("<II", *labels.shape), [labels])
 
 
 def load_labels(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    t, c = _read_header(raw, LABEL_MAGIC, path)
-    payload = _read_payload(raw, t, c, 1, path)
-    z = np.frombuffer(payload, dtype=np.uint8).reshape(t, c).copy()
+    z = _load_matrix(path, LABEL_MAGIC, np.dtype(np.uint8))
     if z.max() > 1:
         raise FormatError(f"{path}: label bytes must be 0 or 1")
     return z
+
+
+# ---------------------------------------------------------------------------
+# JSON documents
+# ---------------------------------------------------------------------------
+
+def parse_json(raw: bytes, path, what: str):
+    """The UTF-8 JSON document in raw; FormatError if it does not decode."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: {what} is not UTF-8 JSON: {exc}") from exc
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_rng_state(value) -> bool:
+    try:
+        np.random.PCG64(0).state = value
+    except (TypeError, ValueError, KeyError, OverflowError):
+        return value is None  # a model that has not trained
+    return True
+
+
+# each field of the manifest, its videos, the checkpoint header and its
+# tensors: the check its value passes, and what that check asks for
+_FIELD_CHECKS = {
+    **dict.fromkeys(("feature_dim", "length", "num_classes", "num_distributions",
+                     "num_filters", "kernel_length", "adam_t", "iteration"),
+                    (_is_count, "a non-negative integer")),
+    **dict.fromkeys(("id", "variant", "name", "dtype"),
+                    (lambda v: isinstance(v, str), "a string")),
+    **dict.fromkeys(("videos", "tensors"), (lambda v: isinstance(v, list), "a list")),
+    **dict.fromkeys(("feature_path", "label_path"), (
+        lambda v: isinstance(v, str) and not Path(v).is_absolute(), "a relative path")),
+    "class_names": (lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+                    "a list of strings"),
+    "shape": (lambda v: isinstance(v, list) and all(map(_is_count, v)),
+              "a list of non-negative integers"),
+    "config": (lambda v: isinstance(v, dict), "a JSON object"),
+    "rng_state": (_is_rng_state, "null or a PCG64 generator state"),
+}
+_MANIFEST_FIELDS = ("class_names", "feature_dim", "videos")
+_VIDEO_FIELDS = ("id", "feature_path", "label_path", "length")
+
+
+def check_fields(doc, keys, path, what: str, exact: bool = False) -> dict:
+    """doc, if it is a JSON object holding each of keys (and, if exact, no
+    other) with a value that passes its check; FormatError otherwise."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: {what} is not a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise FormatError(f"{path}: {what} lacks {key}")
+        passes, wanted = _FIELD_CHECKS[key]
+        if not passes(doc[key]):
+            raise FormatError(f"{path}: {what} {key} {doc[key]!r:.80} is not {wanted}")
+    if exact and len(doc) != len(keys):
+        raise FormatError(f"{path}: {what} has keys other than {', '.join(keys)}")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -178,40 +268,15 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 
 def load_manifest(path) -> DatasetManifest:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: manifest is not a JSON object")
-    if doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
+    doc = parse_json(Path(path).read_bytes(), path, "manifest")
+    if isinstance(doc, dict) and doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
         raise UnsupportedVersionError(
             f"{path}: unsupported manifest schema {doc.get('schema_version')!r}"
         )
-    missing = [key for key in ("class_names", "feature_dim", "videos") if key not in doc]
-    if missing:
-        raise FormatError(f"{path}: manifest lacks {', '.join(missing)}")
-    names, dim, videos = doc["class_names"], doc["feature_dim"], doc["videos"]
-    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-        raise FormatError(f"{path}: class_names must be a list of strings")
-    if type(dim) is not int or dim < 0:
-        raise FormatError(f"{path}: feature_dim {dim!r} is not a non-negative integer")
-    if not isinstance(videos, list):
-        raise FormatError(f"{path}: videos must be a list, got {videos!r}")
-    video_keys = {f.name for f in fields(VideoEntry)}
-    for v in videos:
-        if not isinstance(v, dict) or set(v) != video_keys:
-            raise FormatError(
-                f"{path}: video entry {v!r} must have exactly the keys "
-                f"{', '.join(sorted(video_keys))}"
-            )
-        for key in ("feature_path", "label_path"):
-            if not isinstance(v[key], str) or Path(v[key]).is_absolute():
-                raise FormatError(f"{path}: {key} {v[key]!r} is not a relative path")
-        if type(v["length"]) is not int or v["length"] < 0:
-            raise FormatError(
-                f"{path}: length {v['length']!r} of video {v['id']!r} is not a "
-                f"non-negative integer"
-            )
-    return DatasetManifest(class_names=list(names), feature_dim=dim,
-                           videos=[VideoEntry(**v) for v in videos])
+    check_fields(doc, _MANIFEST_FIELDS, path, "manifest")
+    videos = [VideoEntry(**check_fields(v, _VIDEO_FIELDS, path, f"video {i}", exact=True))
+              for i, v in enumerate(doc["videos"])]
+    return DatasetManifest(doc["class_names"], doc["feature_dim"], videos)
 
 
 def split_manifest(manifest: DatasetManifest, n_train: int):

@@ -20,25 +20,23 @@ gradcheck's finite differences) returns its logits; ``loss_and_grads``
 exact hand-derived gradients for every parameter, obtained by chaining the
 detector, pooling and filter backward passes. All functions are pure in the
 parameters and dtype-preserving; checkpoints round-trip bit for bit.
+
+A checkpoint (magic ``TSFM``, read and written by ``data``'s container
+code) holds every ModelState field; loading checks every header field, the
+variant's tensors at its dims' shapes, and that each tensor is finite.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import detector, pooling
-from .errors import (
-    BadMagicError,
-    FormatError,
-    ModelDatasetMismatchError,
-    TruncatedPayloadError,
-    UnsupportedVersionError,
-)
+from .data import check_fields, parse_json, read_container, write_container
+from .errors import FormatError, ModelDatasetMismatchError
 from .filters import materialize_stack, stack_backward
 from .pooling import RelativeConfig, baseline_context_blocks
 
@@ -55,19 +53,12 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "CHECKPOINT_MAGIC",
-    "CHECKPOINT_VERSION",
 ]
 
 VARIANTS = ("baseline", "max", "mean", "pyramid3", "single", "attended", "relative")
 FILTER_VARIANTS = ("single", "attended", "relative")
 
 CHECKPOINT_MAGIC = b"TSFM"
-CHECKPOINT_VERSION = 1
-
-_HEADER_KEYS = ("variant", "feature_dim", "num_classes", "num_distributions",
-                "num_filters", "kernel_length", "class_names", "adam_t", "iteration",
-                "rng_state", "config", "tensors")
-_TENSOR_KEYS = {"name", "dtype", "shape"}
 
 
 @dataclass
@@ -265,137 +256,72 @@ def loss_and_grads(state: ModelState, features: np.ndarray, labels: np.ndarray):
 # checkpoint serialization
 # ---------------------------------------------------------------------------
 
-def _tensor_entries(state: ModelState):
-    for name in sorted(state.params):
-        yield f"params/{name}", state.params[name]
-    for name in sorted(state.adam_m):
-        yield f"adam_m/{name}", state.adam_m[name]
-    for name in sorted(state.adam_v):
-        yield f"adam_v/{name}", state.adam_v[name]
+_GROUPS = ("params", "adam_m", "adam_v")  # the ModelState fields stored as tensors
+# the header: every other ModelState field, then the tensor directory
+_HEADER_FIELDS = tuple(f.name for f in fields(ModelState) if f.name not in _GROUPS)
+_TENSOR_FIELDS = ("name", "dtype", "shape")
 
 
 def save_checkpoint(state: ModelState, path) -> None:
-    tensors = []
-    payload = bytearray()
-    for name, arr in _tensor_entries(state):
-        arr = np.ascontiguousarray(arr)
-        le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        tensors.append(
-            {"name": name, "dtype": le.dtype.str, "shape": list(arr.shape)}
-        )
-        payload += le.tobytes()
-    header = json.dumps(
-        {
-            "variant": state.variant,
-            "feature_dim": state.feature_dim,
-            "num_classes": state.num_classes,
-            "num_distributions": state.num_distributions,
-            "num_filters": state.num_filters,
-            "kernel_length": state.kernel_length,
-            "class_names": state.class_names,
-            "adam_t": state.adam_t,
-            "iteration": state.iteration,
-            "rng_state": state.rng_state,
-            "config": state.config,
-            "tensors": tensors,
-        }
-    ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
-        fh.write(header)
-        fh.write(payload)
+    entries = [(f"{group}/{name}", arr) for group in _GROUPS
+               for name, arr in sorted(getattr(state, group).items())]
+    header = {key: getattr(state, key) for key in _HEADER_FIELDS}
+    header["tensors"] = [{"name": name, "dtype": arr.dtype.newbyteorder("<").str,
+                          "shape": list(arr.shape)} for name, arr in entries]
+    raw = json.dumps(header).encode("utf-8")
+    write_container(path, CHECKPOINT_MAGIC, struct.pack("<I", len(raw)) + raw,
+                    [arr for _, arr in entries])
 
 
-def _is_tensor_entry(entry) -> bool:
-    return (isinstance(entry, dict) and set(entry) == _TENSOR_KEYS
-            and isinstance(entry["name"], str) and isinstance(entry["shape"], list)
-            and all(isinstance(d, int) and d >= 0 for d in entry["shape"]))
-
-
-def load_checkpoint(path) -> ModelState:
-    raw = Path(path).read_bytes()
-    if len(raw) < 12:
-        raise TruncatedPayloadError(f"{path}: shorter than the checkpoint header")
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise BadMagicError(f"{path}: not a checkpoint (magic {raw[:4]!r})")
-    version, header_len = struct.unpack("<II", raw[4:12])
-    if version != CHECKPOINT_VERSION:
-        raise UnsupportedVersionError(f"{path}: unsupported checkpoint version {version}")
-    if len(raw) < 12 + header_len:
-        raise TruncatedPayloadError(f"{path}: truncated checkpoint header")
-    try:
-        header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unreadable checkpoint header: {exc}") from exc
-
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: checkpoint header is not a JSON object")
-    missing = [key for key in _HEADER_KEYS if key not in header]
-    if missing:
-        raise FormatError(f"{path}: checkpoint header lacks {', '.join(missing)}")
-    tensors = header["tensors"]
-    if not (isinstance(tensors, list) and all(map(_is_tensor_entry, tensors))):
-        raise FormatError(
-            f"{path}: checkpoint tensors must be a list of {{name, dtype, shape}} objects"
-        )
-
+def _tensor_layout(header: dict, path) -> list:
+    """(name, dtype, shape) of each tensor a checked header lists, once they
+    are shown to be the tensors its variant and dims give."""
     variant = header["variant"]
     if variant not in VARIANTS:
         raise FormatError(f"{path}: unknown variant {variant!r}")
-    dim_keys = ("feature_dim", "num_classes", "num_distributions", "num_filters")
-    if not all(type(header[key]) is int and header[key] >= 0
-               for key in dim_keys + ("kernel_length",)):
-        raise FormatError(f"{path}: checkpoint dims must be non-negative integers")
-    expected = _param_shapes(variant, *(header[key] for key in dim_keys))
-
-    offset = 12 + header_len
-    groups: dict[str, dict[str, np.ndarray]] = {"params": {}, "adam_m": {}, "adam_v": {}}
-    for entry in tensors:
-        group, _, name = entry["name"].partition("/")
-        if group not in groups or not name:
-            raise FormatError(
-                f"{path}: tensor {entry['name']!r} is not in params, adam_m or adam_v"
-            )
-        if name not in expected:
-            raise FormatError(f"{path}: a {variant} model has no tensor {entry['name']}")
-        if tuple(entry["shape"]) != expected[name]:
-            raise FormatError(
-                f"{path}: tensor {entry['name']} has shape {entry['shape']}, but the "
-                f"header's dims give {list(expected[name])}"
-            )
+    if len(header["class_names"]) != header["num_classes"]:
+        raise FormatError(f"{path}: class_names lists {len(header['class_names'])} "
+                          f"names for num_classes {header['num_classes']}")
+    params = _param_shapes(variant, *(header[key] for key in (
+        "feature_dim", "num_classes", "num_distributions", "num_filters")))
+    shapes = {f"{group}/{name}": shape for group in _GROUPS
+              for name, shape in params.items()}
+    entries = [check_fields(entry, _TENSOR_FIELDS, path, "tensor entry", exact=True)
+               for entry in header["tensors"]]
+    names = [entry["name"] for entry in entries]
+    # Adam's moments are absent as a whole until the first step
+    if len(set(names)) != len(names) or set(names) not in (
+            {f"params/{name}" for name in params}, set(shapes)):
+        raise FormatError(f"{path}: tensors {names} are not the params (and adam_m, "
+                          f"adam_v) of a {variant} model: {', '.join(params)}")
+    specs = []
+    for entry in entries:
+        name, shape = entry["name"], shapes[entry["name"]]
+        if tuple(entry["shape"]) != shape:
+            raise FormatError(f"{path}: tensor {name} has shape {entry['shape']}, but "
+                              f"the header's dims give {list(shape)}")
         try:
-            dt = np.dtype(entry["dtype"])
-        except TypeError as exc:
-            raise FormatError(f"{path}: tensor {entry['name']}: {exc}") from exc
-        count = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
-        nbytes = dt.itemsize * count
-        if offset + nbytes > len(raw):
-            raise TruncatedPayloadError(f"{path}: truncated tensor {entry['name']}")
-        arr = np.frombuffer(raw[offset : offset + nbytes], dtype=dt).reshape(
-            entry["shape"]
-        )
-        offset += nbytes
-        groups[group][name] = arr.astype(dt.newbyteorder("="))
-    for group, found in groups.items():
-        missing = [name for name in expected if name not in found]
-        # Adam's moments may be absent as a whole (no step taken yet)
-        if missing and (group == "params" or groups["adam_m"] or groups["adam_v"]):
-            raise FormatError(f"{path}: checkpoint lacks tensor {group}/{missing[0]}")
+            dtype = np.dtype(entry["dtype"])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: tensor {name}: {exc}") from exc
+        if dtype.kind != "f":
+            raise FormatError(f"{path}: tensor {name} dtype {dtype} is not a float type")
+        specs.append((name, dtype, shape))
+    return specs
 
-    return ModelState(
-        variant=variant,
-        feature_dim=header["feature_dim"],
-        num_classes=header["num_classes"],
-        num_distributions=header["num_distributions"],
-        num_filters=header["num_filters"],
-        kernel_length=header["kernel_length"],
-        class_names=header["class_names"],
-        params=groups["params"],
-        adam_m=groups["adam_m"],
-        adam_v=groups["adam_v"],
-        adam_t=header["adam_t"],
-        iteration=header["iteration"],
-        rng_state=header["rng_state"],
-        config=header["config"],
-    )
+
+def load_checkpoint(path) -> ModelState:
+    def layout(take):
+        (length,) = struct.unpack("<I", take(4))
+        header = check_fields(parse_json(take(length), path, "checkpoint header"),
+                              _HEADER_FIELDS + ("tensors",), path, "checkpoint header")
+        return header, _tensor_layout(header, path)
+
+    header, arrays = read_container(path, CHECKPOINT_MAGIC, layout)
+    groups = {group: {} for group in _GROUPS}
+    for entry, arr in zip(header["tensors"], arrays):
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: tensor {entry['name']} is not finite")
+        group, _, name = entry["name"].partition("/")
+        groups[group][name] = arr
+    return ModelState(**{key: header[key] for key in _HEADER_FIELDS}, **groups)

@@ -84,10 +84,6 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
-
 
 def effective_lr(config: TrainConfig, iteration: int) -> float:
     return config.lr * config.lr_decay_factor ** (iteration // config.lr_decay_every)
@@ -114,6 +110,8 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray], lr: float) -> Non
 
 
 def _restore_rng(state: ModelState) -> np.random.Generator:
+    if state.rng_state is None:
+        raise ValueError("the model to resume holds no generator state")
     bg = np.random.PCG64()
     bg.state = state.rng_state
     return np.random.Generator(bg)
@@ -147,7 +145,6 @@ def train(config: TrainConfig, dataset: Dataset, state: ModelState | None = None
             rng,
         )
         state.rng_state = rng.bit_generator.state
-        state.config = config.to_dict()
     else:
         if state.variant != config.variant:
             raise ValueError(
@@ -155,6 +152,7 @@ def train(config: TrainConfig, dataset: Dataset, state: ModelState | None = None
                 f"{config.variant!r}"
             )
         check_compatible(state, dataset)
+    state.config = config.to_dict()  # the echo of the run that wrote the state
 
     rng = _restore_rng(state)
     num_videos = len(dataset.videos)

@@ -128,6 +128,8 @@ def test_train_resume(synth_dir, tmp_path, capsys):
     a, b = load_checkpoint(full), load_checkpoint(resumed)
     for k in a.params:
         assert a.params[k].tobytes() == b.params[k].tobytes()
+    # the config echo is the resumed run's, so the whole file matches too
+    assert full.read_bytes() == resumed.read_bytes()
 
 
 def test_eval_dimension_mismatch_is_io_error(synth_dir, tmp_path, capsys):
@@ -276,14 +278,120 @@ def test_checkpoint_shape_contradicting_header_is_format_error(synth_dir, tmp_pa
     assert code == 2 and tensor in err
 
 
+def set_header(**fields):
+    return lambda src, dst: rewrite_header(src, dst, lambda h: h.update(fields))
+
+
+def shape_wrapping_int64(src, dst):
+    # 8 * 2**61 elements: an int64 element count wraps to 0
+    def edit(header):
+        header.update(num_classes=8, class_names=[f"c{i}" for i in range(8)],
+                      feature_dim=2**61)
+        for entry in header["tensors"]:
+            entry["shape"] = [8, 2**61] if entry["name"].endswith("weight") else [8]
+    rewrite_header(src, dst, edit)
+
+
+def nan_parameter(src, dst):
+    raw = bytearray(src.read_bytes())
+    start = 12 + struct.unpack("<I", raw[8:12])[0]  # params/classifier_bias[0]
+    raw[start : start + 4] = np.float32(np.nan).tobytes()
+    dst.write_bytes(bytes(raw))
+
+
+CORRUPT_CHECKPOINTS = {
+    "class-names-not-a-list": (set_header(class_names=5), "class_names"),
+    "adam-t-not-an-int": (set_header(adam_t="x"), "adam_t"),
+    "iteration-not-an-int": (set_header(iteration="x"), "iteration"),
+    "rng-state-not-an-object": (set_header(rng_state=5), "rng_state"),
+    "rng-state-pcg64-rejects": (
+        set_header(rng_state={"bit_generator": "PCG64", "state": {"state": 1}}),
+        "rng_state"),
+    "config-not-an-object": (set_header(config=[1]), "config"),
+    "class-names-not-num-classes": (set_header(class_names=["a"]), "class_names"),
+    "appended-bytes": (lambda src, dst: dst.write_bytes(src.read_bytes() + b"\0"),
+                       "trailing bytes"),
+    "shape-wrapping-int64": (shape_wrapping_int64, "params/classifier_weight"),
+    "nan-parameter": (nan_parameter, "params/classifier_bias"),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPT_CHECKPOINTS)
+def test_corrupt_checkpoint_is_format_error(synth_dir, baseline_ckpt, tmp_path, capsys,
+                                            case):
+    corrupt, field = CORRUPT_CHECKPOINTS[case]
+    bad = tmp_path / "bad.ckpt"
+    corrupt(baseline_ckpt, bad)
+    with pytest.raises(FormatError, match=field):
+        load_checkpoint(bad)
+    out = tmp_path / "resumed.ckpt"
+    for argv in (["eval", "--data", str(synth_dir / "manifest.json"),
+                  "--model", str(bad)],
+                 ["train", "--data", str(synth_dir / "manifest_train.json"), "--variant",
+                  "baseline", "--out", str(out), "--iters", "2", "--batch", "1",
+                  "--resume", str(bad), "--quiet"]):
+        code, _, err = run(capsys, argv)
+        assert code == 2 and str(bad) in err and field in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_resume_without_generator_state_is_refused(synth_dir, baseline_ckpt, tmp_path,
+                                                   capsys):
+    # a state saved before training has no generator state: it evaluates, but
+    # a resumed run could not continue the original's random stream
+    bare = tmp_path / "bare.ckpt"
+    rewrite_header(baseline_ckpt, bare, lambda h: h.update(rng_state=None))
+    code, _, _ = run(capsys, ["eval", "--data", str(synth_dir / "manifest.json"),
+                              "--model", str(bare)])
+    assert code == 0
+    code, _, err = run(capsys, ["train", "--data", str(synth_dir / "manifest_train.json"),
+                                "--variant", "baseline", "--resume", str(bare),
+                                "--out", str(tmp_path / "x.ckpt"), "--iters", "2",
+                                "--quiet"])
+    assert code == 2 and "generator state" in err and "Traceback" not in err
+
+
+def test_undecodable_json_is_format_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for raw in (b"\xff\xfe{}", b'{"schema_version": 1,'):
+        bad.write_bytes(raw)
+        with pytest.raises(FormatError, match="not UTF-8 JSON"):
+            load_manifest(bad)
+        for argv in (["eval", "--data", str(bad), "--model", str(bad)],
+                     ["synth", "--out", str(tmp_path / "out"), "--config", str(bad)]):
+            code, _, err = run(capsys, argv)
+            assert code == 2 and str(bad) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--dropout", "2"],
+    ["train", "--variant", "relative", "--kernel", "4"],
+    ["train", "--filters", "0"],
+    ["export-filters", "--T", "0"],
+    ["gradcheck", "--instances", "0"],
+    ["gradcheck", "--filters", "0"],
+    ["gradcheck", "--gaussians", "0"],
+], ids=["dropout-2", "even-kernel", "no-filters", "export-T-0", "no-instances",
+        "no-gradcheck-filters", "no-gradcheck-gaussians"])
+def test_bad_flag_value_is_usage_error(synth_dir, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    more = {"train": ["--data", str(synth_dir / "manifest_train.json"), "--out", str(out),
+                      "--iters", "1", "--quiet"],
+            "export-filters": ["--model", str(tmp_path / "none.ckpt"), "--out", str(out)],
+            "gradcheck": []}[argv[0]]
+    code, stdout, err = run(capsys, argv + more)
+    assert code == 1 and f"usage: superevents {argv[0]}" in err
+    assert "Traceback" not in err and not stdout and not out.exists()
+
+
 def test_train_lr_decay_every_zero_is_rejected(synth_dir, tmp_path, capsys):
     code, _, err = run(capsys, [
         "train", "--data", str(synth_dir / "manifest_train.json"),
         "--out", str(tmp_path / "x.ckpt"), "--iters", "2", "--batch", "1",
         "--lr-decay-every", "0", "--quiet",
     ])
-    assert code == 2
-    assert "lr_decay_every" in err and "Traceback" not in err
+    assert code == 1  # a bad flag value is a usage error
+    assert "lr_decay_every" in err and "usage" in err and "Traceback" not in err
 
 
 def test_malformed_manifest_is_format_error(synth_dir, tmp_path, capsys):
