@@ -31,7 +31,6 @@ from .model import (
     save_checkpoint,
 )
 from .pooling import (
-    RelativeConfig,
     pool_attended,
     pool_baseline,
     pool_relative,
@@ -49,7 +48,6 @@ __all__ = [
     "GradcheckReport",
     "ModelState",
     "PairedRule",
-    "RelativeConfig",
     "SynthConfig",
     "TrainConfig",
     "VARIANTS",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +29,9 @@ from .data import (
     parse_json,
     verify_paired_rules,
 )
-from .errors import NumericError
+from .errors import NumericError, SupereventsError
 from .evaluation import evaluate
-from .filters import materialize_stack
+from .filters import frame_positions, materialize_stack
 from .model import FILTER_VARIANTS, VARIANTS, load_checkpoint, save_checkpoint
 from .pooling import soft_attention
 from .training import TrainConfig, gradcheck, train
@@ -67,30 +68,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="JSON file with SynthConfig fields")
     p.add_argument("--seed", type=int, help="generator seed")
-    p.add_argument("--videos", type=int, help="number of videos")
-    p.add_argument("--dim", type=int, help="feature dimension D")
+    p.add_argument("--videos", type=positive_int, help="number of videos")
+    p.add_argument("--dim", type=positive_int, help="feature dimension D")
     p.add_argument("--noise", type=float, help="feature noise sigma")
     p.add_argument("--split", type=int, metavar="N",
                    help="also write manifest_train.json (first N videos) and "
                         "manifest_test.json (rest)")
+    p.set_defaults(usage_error=p.error)  # for a --split the video count rules out
 
+    # a train flag other than --data, --out, --resume and --quiet, and a
+    # gradcheck flag other than --seed and --instances, sets the TrainConfig
+    # field its dest names and defaults to that field's default
+    defaults = TrainConfig()
     p = sub.add_parser("train", help="train a detector")
     p.add_argument("--data", required=True, help="dataset manifest JSON")
-    p.add_argument("--variant", choices=VARIANTS, default="attended")
+    p.add_argument("--variant", choices=VARIANTS, default=defaults.variant)
     p.add_argument("--out", required=True, help="checkpoint path to write")
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--lr-decay-every", type=int, default=1000)
-    p.add_argument("--lr-decay-factor", type=float, default=0.1)
-    p.add_argument("--iters", type=int, default=5000)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--filters", type=int, default=5, metavar="M",
+    p.add_argument("--lr", type=float, default=defaults.lr)
+    p.add_argument("--lr-decay-every", type=int, default=defaults.lr_decay_every)
+    p.add_argument("--lr-decay-factor", type=float, default=defaults.lr_decay_factor)
+    p.add_argument("--iters", dest="iterations", type=int, default=defaults.iterations)
+    p.add_argument("--batch", dest="batch_size", type=int, default=defaults.batch_size)
+    p.add_argument("--filters", dest="num_filters", type=int,
+                   default=defaults.num_filters, metavar="M",
                    help="shared temporal structure filters")
-    p.add_argument("--gaussians", type=int, default=3, metavar="N",
+    p.add_argument("--gaussians", dest="num_distributions", type=int,
+                   default=defaults.num_distributions, metavar="N",
                    help="distributions per filter")
-    p.add_argument("--kernel", type=int, default=15, metavar="L",
+    p.add_argument("--kernel", dest="kernel_length", type=int,
+                   default=defaults.kernel_length, metavar="L",
                    help="relative variant kernel length (odd)")
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dropout", type=float, default=defaults.dropout)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--quiet", action="store_true", help="suppress the CSV stream")
     p.set_defaults(usage_error=p.error)  # for what TrainConfig.validate rejects
@@ -101,11 +110,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit the JSON report")
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients")
-    p.add_argument("--variant", choices=VARIANTS, default="attended")
+    p.add_argument("--variant", choices=VARIANTS, default=defaults.variant)
     p.add_argument("--seed", type=int, default=0, help="first instance seed")
     p.add_argument("--instances", type=positive_int, default=1)
-    p.add_argument("--filters", type=positive_int, default=5, metavar="M")
-    p.add_argument("--gaussians", type=positive_int, default=3, metavar="N")
+    p.add_argument("--filters", dest="num_filters", type=positive_int,
+                   default=defaults.num_filters, metavar="M")
+    p.add_argument("--gaussians", dest="num_distributions", type=positive_int,
+                   default=defaults.num_distributions, metavar="N")
 
     p = sub.add_parser("export-filters",
                        help="per-class attention-combined filter matrices as JSON")
@@ -128,7 +139,10 @@ def _cmd_synth(args) -> int:
         "noise_sigma": args.noise,
     }
     cfg_fields.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = SynthConfig.from_dict(cfg_fields)
+    cfg = SynthConfig.from_dict(cfg_fields).validate()
+    if args.split is not None and not 0 < args.split < cfg.num_videos:
+        args.usage_error(f"--split {args.split} must leave at least one of the "
+                         f"{cfg.num_videos} videos on each side")
     manifest = generate_synthetic(cfg, args.out)
     out = Path(args.out)
     print(f"manifest {out / 'manifest.json'}")
@@ -152,19 +166,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = TrainConfig(
-        lr=args.lr,
-        lr_decay_every=args.lr_decay_every,
-        lr_decay_factor=args.lr_decay_factor,
-        iterations=args.iters,
-        batch_size=args.batch,
-        dropout=args.dropout,
-        num_filters=args.filters,
-        num_distributions=args.gaussians,
-        kernel_length=args.kernel,
-        seed=args.seed,
-        variant=args.variant,
-    )
+    config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     try:
         config.validate()
     except ValueError as exc:
@@ -205,8 +207,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    config = TrainConfig(variant=args.variant, num_filters=args.filters,
-                         num_distributions=args.gaussians)
+    config = TrainConfig(variant=args.variant, num_filters=args.num_filters,
+                         num_distributions=args.num_distributions)
     all_passed = True
     for i in range(args.instances):
         report = gradcheck(config, instance_seed=args.seed + i)
@@ -222,11 +224,10 @@ def _cmd_export_filters(args) -> int:
             f"checkpoint variant {state.variant!r} has no temporal structure filters"
         )
 
-    values, frame_centers, scales, _ = materialize_stack(
-        state.params["filter_centers"].astype(np.float64),
-        state.params["filter_widths"].astype(np.float64),
-        args.T,
-    )  # (M, T, N)
+    centers = state.params["filter_centers"].astype(np.float64)
+    widths = state.params["filter_widths"].astype(np.float64)
+    values = materialize_stack(centers, widths, args.T)  # (M, T, N)
+    frame_centers, scales = frame_positions(centers, widths, args.T)
     if state.variant == "single":
         attention = np.eye(state.num_classes)
     else:
@@ -277,7 +278,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"superevents: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, SupereventsError) as exc:
         print(f"superevents: error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -409,6 +409,8 @@ class SynthConfig:
     def validate(self):
         if self.num_videos < 1:
             raise ValueError("num_videos must be >= 1")
+        if self.feature_dim < 1:
+            raise ValueError("feature_dim must be >= 1")
         if self.t_range[0] < 1 or self.t_range[0] > self.t_range[1]:
             raise ValueError("bad t_range")
         if self.event_len_range[0] < 1 or self.event_len_range[0] > self.event_len_range[1]:

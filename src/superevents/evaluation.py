@@ -12,7 +12,7 @@ with no positive frame are excluded from the mean and listed in the report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class EvalReport:
     mean_ap: float
     evaluated_classes: list[int]
     excluded_classes: list[int]
-    protocol: dict = field(default_factory=lambda: dict(PROTOCOL))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -85,7 +84,7 @@ class EvalReport:
                 },
                 "evaluated_classes": [self.class_names[i] for i in self.evaluated_classes],
                 "excluded_classes": [self.class_names[i] for i in self.excluded_classes],
-                "protocol": self.protocol,
+                "protocol": PROTOCOL,
             },
             indent=1,
         )
@@ -98,12 +97,6 @@ class EvalReport:
             lines.append(f"{name:<{width}}  {shown}")
         lines.append(f"{'mAP':<{width}}  {self.mean_ap:.4f}")
         return "\n".join(lines)
-
-    def mean_over(self, class_indices) -> float:
-        vals = [self.ap_per_class[i] for i in class_indices]
-        if any(v is None for v in vals):
-            raise ValueError("requested classes include one with no positives")
-        return float(np.mean(vals))
 
 
 def evaluate(state: ModelState, dataset: Dataset) -> EvalReport:

@@ -38,7 +38,7 @@ from . import detector, pooling
 from .data import check_fields, parse_json, read_container, write_container
 from .errors import FormatError, ModelDatasetMismatchError
 from .filters import materialize_stack, stack_backward
-from .pooling import RelativeConfig, baseline_context_blocks
+from .pooling import baseline_context_blocks, check_kernel_length
 
 __all__ = [
     "VARIANTS",
@@ -128,7 +128,7 @@ def init_model(variant: str, feature_dim: int, num_classes: int,
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if variant == "relative":
-        RelativeConfig(kernel_length)  # validates odd, positive
+        check_kernel_length(kernel_length)
 
     n = num_distributions if variant in FILTER_VARIANTS else 0
     m = {"single": num_classes, "attended": num_filters,
@@ -178,17 +178,16 @@ def _forward(state: ModelState, features: np.ndarray):
     if variant == "baseline":
         return logits, None
     if variant == "relative":
-        stack, _, _, _ = materialize_stack(p["filter_centers"], p["filter_widths"],
-                                           state.kernel_length)
+        stack = materialize_stack(p["filter_centers"], p["filter_widths"],
+                                  state.kernel_length)
         scores, cache = pooling._relative_state(stack, p["attention_logits"],
-                                                w[:, d:], features,
-                                                RelativeConfig(state.kernel_length))
+                                                w[:, d:], features)
         return logits + scores, cache
     if variant in baseline_context_blocks:
         ctx = pooling.pool_baseline(variant, features)
     else:
-        stack, _, _, _ = materialize_stack(p["filter_centers"], p["filter_widths"],
-                                           features.shape[0])
+        stack = materialize_stack(p["filter_centers"], p["filter_widths"],
+                                  features.shape[0])
         if variant == "single":
             ctx = pooling.pool_single(stack, features)
         else:
@@ -224,7 +223,6 @@ def loss_and_grads(state: ModelState, features: np.ndarray, labels: np.ndarray):
         return loss, grads
 
     if variant == "relative":
-        length = state.kernel_length
         d_stack, d_logits_att, d_w_ctx = pooling._relative_grads(cache, dlogits)
         grads["classifier_weight"] = np.concatenate([d_w_frame, d_w_ctx], axis=1)
         grads["attention_logits"] = d_logits_att
@@ -235,9 +233,7 @@ def loss_and_grads(state: ModelState, features: np.ndarray, labels: np.ndarray):
         if variant in baseline_context_blocks:
             return loss, grads
         d_ctx = col[:, None] * p["classifier_weight"][:, D:]
-        length = T
-        stack, _, _, _ = materialize_stack(p["filter_centers"], p["filter_widths"],
-                                           length)
+        stack = materialize_stack(p["filter_centers"], p["filter_widths"], T)
         if variant == "single":
             c, _, n = stack.shape
             d_stack = features @ np.swapaxes(d_ctx.reshape(c, n, D), 1, 2)
@@ -246,9 +242,8 @@ def loss_and_grads(state: ModelState, features: np.ndarray, labels: np.ndarray):
                 stack, p["attention_logits"], features, d_ctx
             )
 
-    dc, dw_ = stack_backward(p["filter_centers"], p["filter_widths"], length, d_stack)
-    grads["filter_centers"] = dc
-    grads["filter_widths"] = dw_
+    grads["filter_centers"], grads["filter_widths"] = stack_backward(
+        p["filter_centers"], p["filter_widths"], d_stack)
     return loss, grads
 
 
@@ -279,6 +274,11 @@ def _tensor_layout(header: dict, path) -> list:
     variant = header["variant"]
     if variant not in VARIANTS:
         raise FormatError(f"{path}: unknown variant {variant!r}")
+    if variant == "relative":
+        try:
+            check_kernel_length(header["kernel_length"])
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
     if len(header["class_names"]) != header["num_classes"]:
         raise FormatError(f"{path}: class_names lists {len(header['class_names'])} "
                           f"names for num_classes {header['num_classes']}")

@@ -39,12 +39,10 @@ array returned is C-contiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "RelativeConfig",
+    "check_kernel_length",
     "soft_attention",
     "soft_attention_backward",
     "pool_single",
@@ -59,18 +57,12 @@ __all__ = [
 baseline_context_blocks = {"max": 1, "mean": 1, "pyramid3": 7}
 
 
-@dataclass(frozen=True)
-class RelativeConfig:
-    """Fixed odd kernel length for the per-frame (convolutional) variant;
-    frames outside [0, T-1] are treated as zeros."""
-
-    kernel_length: int = 15
-
-    def __post_init__(self):
-        if self.kernel_length < 1:
-            raise ValueError("kernel length must be >= 1")
-        if self.kernel_length % 2 == 0:
-            raise ValueError("kernel length must be odd so the kernel has a center")
+def check_kernel_length(length) -> None:
+    """The relative variant's kernel length L must be odd and positive, so
+    each kernel has a center frame; ValueError otherwise."""
+    if length < 1 or length % 2 == 0:
+        raise ValueError(f"kernel_length {length} must be odd and >= 1, so the "
+                         f"kernel has a center")
 
 
 def soft_attention(logits) -> np.ndarray:
@@ -139,7 +131,7 @@ def _padded_windows(features: np.ndarray, L: int) -> np.ndarray:
 
 
 def _relative_state(stack: np.ndarray, logits: np.ndarray, w_ctx: np.ndarray,
-                    features: np.ndarray, cfg: RelativeConfig):
+                    features: np.ndarray):
     """Per-frame context scores (T, C) with the classifier's context weights
     (C, N*D) folded into the kernels, plus the cache _relative_grads needs.
 
@@ -149,9 +141,8 @@ def _relative_state(stack: np.ndarray, logits: np.ndarray, w_ctx: np.ndarray,
     the scores are one matmul of the zero-padded windows with the C kernels.
     """
     features = np.asarray(features)
-    m, L, n = stack.shape
-    if L != cfg.kernel_length:
-        raise ValueError("filters must be materialized at the configured kernel length")
+    m, L, n = stack.shape  # the filters are materialized at the kernel length
+    check_kernel_length(L)
     if logits.shape[1] != m:
         raise ValueError("attention/filter count mismatch")
     T, D = features.shape
@@ -186,11 +177,12 @@ def _relative_grads(cache: dict, d_scores: np.ndarray):
 
 
 def pool_relative(stack: np.ndarray, logits: np.ndarray, w_ctx: np.ndarray,
-                  features: np.ndarray, cfg: RelativeConfig) -> np.ndarray:
+                  features: np.ndarray) -> np.ndarray:
     """Per-frame context scores (T, C): the classifier's context term of the
-    relative variant, from kernels centered at each frame and attention
-    mixing as in pool_attended."""
-    scores, _ = _relative_state(stack, logits, w_ctx, features, cfg)
+    relative variant, from a (M, L, N) stack materialized at an odd kernel
+    length L, centered at each frame (frames outside [0, T-1] count as zeros),
+    and attention mixing as in pool_attended."""
+    scores, _ = _relative_state(stack, logits, w_ctx, features)
     return scores
 
 

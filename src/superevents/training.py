@@ -28,7 +28,7 @@ from .detector import bce_loss
 from .errors import NumericError
 from .model import (ModelState, check_compatible, forward_logits, init_model,
                     loss_and_grads)
-from .pooling import RelativeConfig
+from .pooling import check_kernel_length
 
 __all__ = [
     "TrainConfig",
@@ -78,7 +78,7 @@ class TrainConfig:
         if self.num_filters < 1 or self.num_distributions < 1:
             raise ValueError("filter counts must be >= 1")
         if self.variant == "relative":
-            RelativeConfig(self.kernel_length)
+            check_kernel_length(self.kernel_length)
         return self
 
     def to_dict(self) -> dict:
@@ -211,9 +211,6 @@ class GradcheckReport:
     @property
     def passed(self) -> bool:
         return all(v < self.tolerance for v in self.max_rel_err.values())
-
-    def failing_groups(self) -> list[str]:
-        return [k for k, v in self.max_rel_err.items() if v >= self.tolerance]
 
     def format(self) -> str:
         lines = [

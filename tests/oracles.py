@@ -101,7 +101,8 @@ def ap_stable_oracle(scores, labels):
 
 
 def cauchy_column_oracle(x, gamma, T):
-    """Scalar re-evaluation of the filter construction, plain Python floats."""
+    """Scalar re-evaluation of the filter construction with the full Cauchy
+    density, 1 / (pi * scale) factor included, in plain Python floats."""
     xh = (T - 1) * (math.tanh(x) + 1) / 2
     gh = math.exp(1 - 2 * abs(math.tanh(gamma)))
     g = [1.0 / (math.pi * gh * (1 + ((t - xh) / gh) ** 2)) for t in range(T)]

@@ -29,6 +29,7 @@ from oracles import (
     pyramid_oracle,
     rel_err,
 )
+from reports import mean_over
 from superevents.data import (
     SynthConfig,
     generate_synthetic,
@@ -42,10 +43,9 @@ from superevents.data import (
     split_manifest,
 )
 from superevents.evaluation import average_precision, evaluate
-from superevents.filters import materialize_stack
+from superevents.filters import frame_positions, materialize_stack
 from superevents.model import load_checkpoint, save_checkpoint
 from superevents.pooling import (
-    RelativeConfig,
     pool_attended,
     pool_baseline,
     pool_relative,
@@ -139,10 +139,8 @@ def bench(tmp_path_factory):
 
 
 def random_stack(rng, m, T, n, dtype=np.float64):
-    values, _, _, _ = materialize_stack(
-        rng.normal(size=(m, n)).astype(dtype), rng.normal(size=(m, n)).astype(dtype), T
-    )
-    return values
+    return materialize_stack(rng.normal(size=(m, n)).astype(dtype),
+                             rng.normal(size=(m, n)).astype(dtype), T)
 
 
 def test_criterion_1_gradient_correctness():
@@ -168,9 +166,9 @@ def test_criterion_2_filter_invariants():
     for _ in range(1000):
         n = int(rng.integers(1, 5))
         T = int(rng.integers(1, 240))
-        values, centers, scales, _ = materialize_stack(
-            rng.normal(0, 3, n), rng.normal(0, 3, n), T
-        )
+        params = rng.normal(0, 3, n), rng.normal(0, 3, n)
+        values = materialize_stack(*params, T)
+        centers, scales = frame_positions(*params, T)
         sums = values.sum(axis=0)
         worst_sum = max(worst_sum, float(np.max(np.abs(sums - 1.0))))
         assert np.all(values > 0)
@@ -233,7 +231,7 @@ def test_criterion_4_pooling_oracles():
         w = rng.normal(size=(C, N * D))
         worst["relative"] = max(
             worst["relative"],
-            rel_err(pool_relative(kstack, logits, w, v, RelativeConfig(L)),
+            rel_err(pool_relative(kstack, logits, w, v),
                     np.einsum("tck,ck->tc", pool_relative_oracle(kstack, logits, v, L), w)),
         )
         worst["baseline"] = max(
@@ -274,7 +272,7 @@ def _mean_map(bench, variant, ambiguous=False):
     vals = []
     for seed in TRAIN_SEEDS:
         rep = bench["runs"][(variant, seed)]
-        vals.append(rep.mean_over(AMBIGUOUS_CLASSES) if ambiguous else rep.mean_ap)
+        vals.append(mean_over(rep, AMBIGUOUS_CLASSES) if ambiguous else rep.mean_ap)
     return float(np.mean(vals))
 
 
@@ -314,15 +312,15 @@ def test_criterion_8_relative_variant(bench):
     for block in range(3 * 4):
         w = np.zeros((2, 3 * 4))
         w[:, block] = 1.0
-        out = pool_relative(one, np.zeros((2, 1)), w, v, RelativeConfig(1))
+        out = pool_relative(one, np.zeros((2, 1)), w, v)
         exact &= all(np.array_equal(out[:, c], v[:, block % 4]) for c in range(2))
 
     rel = bench["runs"][("relative", TRAIN_SEEDS[0])]
     att = bench["runs"][("attended", TRAIN_SEEDS[0])]
     base_classes = [c for c in att.evaluated_classes if c not in AMBIGUOUS_CLASSES]
     gap = rel.mean_ap - att.mean_ap
-    base_gap = rel.mean_over(base_classes) - att.mean_over(base_classes)
-    amb_gap = rel.mean_over(AMBIGUOUS_CLASSES) - att.mean_over(AMBIGUOUS_CLASSES)
+    base_gap = mean_over(rel, base_classes) - mean_over(att, base_classes)
+    amb_gap = mean_over(rel, AMBIGUOUS_CLASSES) - mean_over(att, AMBIGUOUS_CLASSES)
     # one-sided: relative may beat attended by any margin (its kernels smooth
     # per-frame noise), but must not trail it by more than 0.05
     ok = exact and rel.mean_ap >= att.mean_ap - 0.05

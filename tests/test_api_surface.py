@@ -65,15 +65,30 @@ def names_read_in_src():
     return read
 
 
+def exported_names():
+    """(qualified name, name) of each submodule's __all__ names, and of the
+    public methods and properties of the classes among them."""
+    for module in MODULES[1:]:
+        for name in getattr(module, "__all__", ()):
+            yield f"{module.__name__}.{name}", name
+            cls = getattr(module, name)
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                for member, value in vars(cls).items():
+                    if not member.startswith("_") and (
+                            callable(value)
+                            or isinstance(value, (property, classmethod, staticmethod))):
+                        yield f"{module.__name__}.{name}.{member}", member
+
+
 def test_every_exported_name_is_used_outside_its_tests():
-    # no public function exists only for its tests: each submodule's __all__
-    # name is read by the package's code, documented in README.md, or wrapped
-    # by the benchmark's tracer
+    # no public function or method exists only for its tests: each submodule's
+    # __all__ name, and each public method and property of an exported class,
+    # is read by the package's code, documented in README.md, or wrapped by
+    # the benchmark's tracer
     read = names_read_in_src()
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     traced = {name for _, name, _ in bench_targets()}
-    unused = [f"{module.__name__}.{name}" for module in MODULES[1:]
-              for name in getattr(module, "__all__", ())
+    unused = [qualified for qualified, name in exported_names()
               if name not in read | traced
               and not re.search(rf"\b{re.escape(name)}\b", readme)]
     assert not unused, f"exported but used only by tests: {unused}"

@@ -99,6 +99,14 @@ def test_train_single_iteration_and_eval_match(synth_dir, tmp_path, capsys):
     assert doc["mean_ap"] == train_map  # same code path, exact match
 
 
+def test_train_flag_defaults_are_the_config_defaults(synth_dir, tmp_path, capsys):
+    ckpt = tmp_path / "defaults.ckpt"
+    code, _, _ = run(capsys, ["train", "--data", str(synth_dir / "manifest_train.json"),
+                              "--out", str(ckpt), "--iters", "1", "--quiet"])
+    assert code == 0
+    assert load_checkpoint(ckpt).config == TrainConfig(iterations=1).to_dict()
+
+
 def test_train_baseline_has_no_filter_params(synth_dir, tmp_path, capsys):
     ckpt = tmp_path / "b.ckpt"
     code, _, _ = run(capsys, [
@@ -278,6 +286,26 @@ def test_checkpoint_shape_contradicting_header_is_format_error(synth_dir, tmp_pa
     assert code == 2 and tensor in err
 
 
+@pytest.mark.parametrize("length", [4, 0])
+def test_relative_checkpoint_kernel_length_must_be_odd(synth_dir, tmp_path, capsys,
+                                                       length):
+    ckpt = tmp_path / "rel.ckpt"
+    code, _, _ = run(capsys, [
+        "train", "--data", str(synth_dir / "manifest_train.json"),
+        "--variant", "relative", "--out", str(ckpt), "--iters", "1", "--batch", "1",
+        "--filters", "2", "--kernel", "3", "--dropout", "0", "--quiet",
+    ])
+    assert code == 0
+    bad = tmp_path / "bad.ckpt"
+    rewrite_header(ckpt, bad, lambda h: h.update(kernel_length=length))
+    with pytest.raises(FormatError, match="kernel_length"):
+        load_checkpoint(bad)
+    code, _, err = run(capsys, ["eval", "--data", str(synth_dir / "manifest.json"),
+                                "--model", str(bad)])
+    assert code == 2 and str(bad) in err and "kernel_length" in err
+    assert "Traceback" not in err
+
+
 def set_header(**fields):
     return lambda src, dst: rewrite_header(src, dst, lambda h: h.update(fields))
 
@@ -371,14 +399,20 @@ def test_undecodable_json_is_format_error(tmp_path, capsys):
     ["gradcheck", "--instances", "0"],
     ["gradcheck", "--filters", "0"],
     ["gradcheck", "--gaussians", "0"],
+    ["synth", "--videos", "0"],
+    ["synth", "--dim", "0"],
+    ["synth", "--split", "0"],
+    ["synth", "--split", "5", "--videos", "5"],
 ], ids=["dropout-2", "even-kernel", "no-filters", "export-T-0", "no-instances",
-        "no-gradcheck-filters", "no-gradcheck-gaussians"])
+        "no-gradcheck-filters", "no-gradcheck-gaussians", "synth-no-videos",
+        "synth-dim-0", "synth-split-0", "synth-split-all"])
 def test_bad_flag_value_is_usage_error(synth_dir, tmp_path, capsys, argv):
     out = tmp_path / "out"
     more = {"train": ["--data", str(synth_dir / "manifest_train.json"), "--out", str(out),
                       "--iters", "1", "--quiet"],
             "export-filters": ["--model", str(tmp_path / "none.ckpt"), "--out", str(out)],
-            "gradcheck": []}[argv[0]]
+            "gradcheck": [],
+            "synth": ["--out", str(out)]}[argv[0]]
     code, stdout, err = run(capsys, argv + more)
     assert code == 1 and f"usage: superevents {argv[0]}" in err
     assert "Traceback" not in err and not stdout and not out.exists()
@@ -468,6 +502,17 @@ def test_synth_config_malformed_is_format_error(tmp_path, capsys, doc, problem):
     code, _, err = run(capsys, ["synth", "--out", str(tmp_path / "out"),
                                 "--config", str(cfg)])
     assert code == 2 and problem in err and "Traceback" not in err
+
+
+def test_synth_config_no_video_fits_is_error(tmp_path, capsys):
+    # the default rules' chains need up to 55 frames
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"t_range": [10, 10]}))
+    code, _, err = run(capsys, ["synth", "--out", str(tmp_path / "out"),
+                                "--config", str(cfg)])
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("superevents: error: rule 0: no chain")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_missing_checkpoint_is_io_error(synth_dir, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import ap_oracle, ap_stable_oracle
+from reports import mean_over
 import superevents.evaluation as ev
 from superevents.data import Dataset, Video
 from superevents.evaluation import average_precision, evaluate
@@ -161,7 +162,7 @@ def test_report_json_schema_and_table():
     table = report.format_table()
     assert "mAP" in table and ds.class_names[0] in table
     assert 0.0 <= report.mean_ap <= 1.0
-    assert report.mean_over([0]) == pytest.approx(report.ap_per_class[0])
+    assert mean_over(report, [0]) == pytest.approx(report.ap_per_class[0])
 
 
 def _saturated_sigmoid(rng, n):

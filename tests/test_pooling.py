@@ -7,13 +7,13 @@ from oracles import (pool_attended_oracle, pool_relative_oracle,
                      pool_single_oracle, pyramid_oracle, rel_err)
 from superevents.filters import materialize_stack
 from superevents.pooling import (
-    RelativeConfig,
     _relative_grads,
     _relative_state,
     pool_attended,
     pool_attended_backward,
     pool_baseline,
     pool_relative,
+    check_kernel_length,
     pool_single,
     soft_attention,
     soft_attention_backward,
@@ -23,10 +23,7 @@ LD = np.longdouble
 
 
 def random_stack(rng, m, T, n):
-    values, _, _, _ = materialize_stack(
-        rng.normal(size=(m, n)), rng.normal(size=(m, n)), T
-    )
-    return values
+    return materialize_stack(rng.normal(size=(m, n)), rng.normal(size=(m, n)), T)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +280,7 @@ def test_relative_length_one_is_identity():
     for n in range(3):
         for d in range(2):
             w = one_hot_weights(4, 3, 2, n * 2 + d)
-            out = pool_relative(stack, logits, w, v, RelativeConfig(1))
+            out = pool_relative(stack, logits, w, v)
             for c in range(4):
                 assert np.array_equal(out[:, c], v[:, d])
 
@@ -295,7 +292,7 @@ def test_relative_constant_input_matches_global():
     logits = rng.normal(size=(3, 2))
     v = np.tile(np.array([[1.5, -2.0, 0.25]]), (9, 1))
     w = rng.normal(size=(3, 2 * 3))
-    out = pool_relative(stack, logits, w, v, RelativeConfig(L))
+    out = pool_relative(stack, logits, w, v)
     glob = (pool_attended(stack, logits, v[:L]) * w).sum(axis=1)
     for t in range(2, 7):  # interior frames: window never touches the padding
         np.testing.assert_allclose(out[t], glob, rtol=1e-9)
@@ -307,7 +304,7 @@ def test_relative_explicit_edges():
     stack = kernel[None]  # M=1, L=3, N=1
     v = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
     logits = np.zeros((1, 1))
-    out = pool_relative(stack, logits, np.ones((1, 1)), v, RelativeConfig(3))
+    out = pool_relative(stack, logits, np.ones((1, 1)), v)
     expected = [
         0.2 * 0 + 0.5 * 1 + 0.3 * 2,
         0.2 * 1 + 0.5 * 2 + 0.3 * 3,
@@ -319,12 +316,14 @@ def test_relative_explicit_edges():
 
 
 def test_relative_rejects_even_or_nonpositive_length():
-    with pytest.raises(ValueError):
-        RelativeConfig(4)
-    with pytest.raises(ValueError):
-        RelativeConfig(0)
-    with pytest.raises(ValueError):
-        RelativeConfig(-3)
+    for length in (4, 0, -3):
+        with pytest.raises(ValueError, match="kernel_length"):
+            check_kernel_length(length)
+    check_kernel_length(1)
+    rng = np.random.default_rng(16)
+    stack = random_stack(rng, 2, 4, 2)  # an even-length kernel has no center
+    with pytest.raises(ValueError, match="kernel_length 4"):
+        pool_relative(stack, np.zeros((3, 2)), np.zeros((3, 4)), rng.normal(size=(5, 2)))
 
 
 def test_relative_matches_oracle_random():
@@ -337,7 +336,7 @@ def test_relative_matches_oracle_random():
         logits = rng.normal(size=(C, M))
         v = rng.normal(size=(T, D))
         w = rng.normal(size=(C, N * D))
-        out = pool_relative(stack, logits, w, v, RelativeConfig(L))
+        out = pool_relative(stack, logits, w, v)
         oracle = np.einsum("tck,ck->tc", pool_relative_oracle(stack, logits, v, L), w)
         assert rel_err(out, oracle) < 1e-9
 
@@ -353,13 +352,12 @@ def test_relative_backward_matches_finite_differences():
         v = rng.normal(size=(T, D)).astype(LD)
         w = rng.normal(size=(C, N * D)).astype(LD)
         upstream = rng.normal(size=(T, C)).astype(LD)
-        cfg = RelativeConfig(L)
 
-        _, cache = _relative_state(stack, logits, w, v, cfg)
+        _, cache = _relative_state(stack, logits, w, v)
         ds, dl, dw = _relative_grads(cache, upstream)
 
         def loss():
-            return float((upstream * pool_relative(stack, logits, w, v, cfg)).sum())
+            return float((upstream * pool_relative(stack, logits, w, v)).sum())
 
         fd_loss_check(loss, {"stack": stack, "logits": logits, "w": w},
                       {"stack": ds, "logits": dl, "w": dw})
@@ -370,7 +368,7 @@ def test_relative_rejects_mismatched_context_weights():
     stack = random_stack(rng, 2, 3, 2)
     v = rng.normal(size=(5, 4))
     with pytest.raises(ValueError, match="context weights"):
-        pool_relative(stack, np.zeros((3, 2)), np.zeros((3, 4)), v, RelativeConfig(3))
+        pool_relative(stack, np.zeros((3, 2)), np.zeros((3, 4)), v)
 
 
 # ---------------------------------------------------------------------------

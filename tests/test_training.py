@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reports import failing_groups
 from superevents import training
 from superevents.data import Dataset, PairedRule, SynthConfig, generate_synthetic, load_dataset
 from superevents.errors import NumericError
@@ -230,7 +231,7 @@ def test_gradcheck_corrupted_backward_fails_named_group(monkeypatch):
     monkeypatch.setattr(training, "loss_and_grads", corrupted)
     report = gradcheck(quick_config(), instance_seed=0)
     assert not report.passed
-    assert report.failing_groups() == ["filter_widths"]
+    assert failing_groups(report) == ["filter_widths"]
     assert "filter_widths" in report.format()
 
 
