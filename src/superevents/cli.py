@@ -50,6 +50,12 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
+def finite_nonnegative_float(text: str) -> float:
+    if not 0 <= float(text) < float("inf"):
+        raise ValueError(text)
+    return float(text)
+
+
 class _Parser(argparse.ArgumentParser):
     # the contract reserves exit status 1 for usage errors
     def error(self, message):
@@ -70,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="generator seed")
     p.add_argument("--videos", type=positive_int, help="number of videos")
     p.add_argument("--dim", type=positive_int, help="feature dimension D")
-    p.add_argument("--noise", type=float, help="feature noise sigma")
+    p.add_argument("--noise", type=finite_nonnegative_float, help="feature noise sigma")
     p.add_argument("--split", type=int, metavar="N",
                    help="also write manifest_train.json (first N videos) and "
                         "manifest_test.json (rest)")

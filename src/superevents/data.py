@@ -28,6 +28,7 @@ threaded and fully determined by the config seed.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import struct
@@ -415,6 +416,8 @@ class SynthConfig:
             raise ValueError("bad t_range")
         if self.event_len_range[0] < 1 or self.event_len_range[0] > self.event_len_range[1]:
             raise ValueError("bad event_len_range")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma {self.noise_sigma} must be finite and >= 0")
         for r in self.rules:
             if not (0 <= r.trigger_a < self.base_classes
                     and 0 <= r.trigger_b < self.base_classes):
@@ -535,26 +538,38 @@ def _generate_video(cfg: SynthConfig, rng, emissions):
 
 
 def generate_synthetic(cfg: SynthConfig, out_dir) -> DatasetManifest:
-    """Write feature/label files plus manifest.json under out_dir."""
+    """Write feature/label files plus manifest.json under out_dir. If a step
+    fails, every directory and file this call created is removed again."""
     cfg.validate()
     out_dir = Path(out_dir)
-    (out_dir / "features").mkdir(parents=True, exist_ok=True)
-    (out_dir / "labels").mkdir(parents=True, exist_ok=True)
+    made = []  # outermost first, so removing in reverse empties each directory
 
-    rng = np.random.default_rng(cfg.seed)
-    emissions = emission_vectors(cfg)  # uses its own generator, same seed
-    entries = []
-    for i in range(cfg.num_videos):
-        vid = f"v{i:05d}"
-        features, labels = _generate_video(cfg, rng, emissions)
-        fpath = f"features/{vid}.tsfv"
-        lpath = f"labels/{vid}.tsfl"
-        save_features(out_dir / fpath, features)
-        save_labels(out_dir / lpath, labels)
-        entries.append(VideoEntry(vid, fpath, lpath, features.shape[0]))
+    def create(path: Path) -> Path:
+        if not path.exists():
+            made.append(path)
+        return path
 
-    manifest = DatasetManifest(cfg.class_names(), cfg.feature_dim, entries)
-    save_manifest(manifest, out_dir / "manifest.json")
+    try:
+        for d in (*reversed(out_dir.parents), out_dir, out_dir / "features",
+                  out_dir / "labels"):
+            create(d).mkdir(exist_ok=True)
+        rng = np.random.default_rng(cfg.seed)
+        emissions = emission_vectors(cfg)  # uses its own generator, same seed
+        entries = []
+        for i in range(cfg.num_videos):
+            vid = f"v{i:05d}"
+            features, labels = _generate_video(cfg, rng, emissions)
+            fpath, lpath = f"features/{vid}.tsfv", f"labels/{vid}.tsfl"
+            save_features(create(out_dir / fpath), features)
+            save_labels(create(out_dir / lpath), labels)
+            entries.append(VideoEntry(vid, fpath, lpath, features.shape[0]))
+        manifest = DatasetManifest(cfg.class_names(), cfg.feature_dim, entries)
+        save_manifest(manifest, create(out_dir / "manifest.json"))
+    except BaseException:
+        for path in reversed(made):
+            with contextlib.suppress(OSError):
+                path.rmdir() if path.is_dir() else path.unlink()
+        raise
     return manifest
 
 

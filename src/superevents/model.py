@@ -233,11 +233,11 @@ def loss_and_grads(state: ModelState, features: np.ndarray, labels: np.ndarray):
         if variant in baseline_context_blocks:
             return loss, grads
         d_ctx = col[:, None] * p["classifier_weight"][:, D:]
-        stack = materialize_stack(p["filter_centers"], p["filter_widths"], T)
         if variant == "single":
-            c, _, n = stack.shape
+            c, n = p["filter_centers"].shape
             d_stack = features @ np.swapaxes(d_ctx.reshape(c, n, D), 1, 2)
         else:
+            stack = materialize_stack(p["filter_centers"], p["filter_widths"], T)
             d_stack, grads["attention_logits"] = pooling.pool_attended_backward(
                 stack, p["attention_logits"], features, d_ctx
             )

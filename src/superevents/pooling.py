@@ -14,25 +14,22 @@ are fixed inputs, so no gradient flows to them):
                      mixture of the M pooled vectors (identical by linearity
                      to mixing filters first, and cheaper when C > M).
 * pool_relative    — fixed-length L filters slid over the sequence as
-                     zero-padded, centered convolution kernels; the per-frame
+                     zero-padded, centered convolution kernels. The per-frame
                      context is only read through the classifier, so its
-                     context weights are folded in and the result is one
-                     (T, C) score per frame and class (one convolution of
-                     the features with an L x D kernel per class).
+                     weights are folded into one L x D kernel per class and
+                     the result is a (T, C) score: one matmul per tap over a
+                     shifted view of the padded features, no window matrix.
+                     The model calls _relative_state, which also returns the
+                     cache _relative_grads reads.
 * pool_baseline    — parameter-free global max / mean / 3-level temporal
                      pyramid poolings.
-
-The model scores a global context S_c through its classifier's context
-weights as sum_k w_c[k] S_c[k], one constant per class and video;
-pool_relative returns that score per frame directly, and the model calls
-_relative_state, which also returns the cache _relative_grads reads.
 
 Because filter columns sum to one, every coordinate pool_single and
 pool_attended return is a convex combination of that feature coordinate over
 frames.
 
-All contractions are plain 2-D or batched matmuls on transposed or reshaped
-operands (no einsum path planning per call). Filter stacks and their
+All contractions are plain 2-D or batched matmuls on transposed, reshaped or
+shifted operands (no einsum path planning per call). Filter stacks and their
 gradients keep the (..., T, N) shape of filters.materialize_stack, and every
 array returned is C-contiguous.
 """
@@ -119,17 +116,6 @@ def pool_attended_backward(stack: np.ndarray, logits: np.ndarray,
     return d_stack, d_logits
 
 
-def _padded_windows(features: np.ndarray, L: int) -> np.ndarray:
-    """Zero-padded sliding windows as a contiguous (T, L*D) matrix,
-    windows[t, l*D + d] = padded[t + l, d]."""
-    T, D = features.shape
-    half = (L - 1) // 2
-    padded = np.zeros((T + L - 1) * D, dtype=features.dtype)
-    padded[half * D : (half + T) * D] = features.reshape(-1)
-    view = np.lib.stride_tricks.sliding_window_view(padded, L * D)[::D]
-    return np.ascontiguousarray(view)
-
-
 def _relative_state(stack: np.ndarray, logits: np.ndarray, w_ctx: np.ndarray,
                     features: np.ndarray):
     """Per-frame context scores (T, C) with the classifier's context weights
@@ -138,7 +124,9 @@ def _relative_state(stack: np.ndarray, logits: np.ndarray, w_ctx: np.ndarray,
     The per-frame context is linear in the features, and the classifier only
     reads it through w_ctx, so attention, filters and weights collapse into
     one (L, D) kernel per class, K_c[l] = sum_{m,n} att[c,m] F_m[l,n] w_c[n];
-    the scores are one matmul of the zero-padded windows with the C kernels.
+    the scores are a sum over the L taps of one (T, D) @ (D, C) matmul each.
+    Tap l reads the zero-padded features shifted by l frames, a strided view
+    of one (T+L-1, D) buffer, so no (T, L*D) window matrix is built.
     """
     features = np.asarray(features)
     m, L, n = stack.shape  # the filters are materialized at the kernel length
@@ -154,9 +142,14 @@ def _relative_state(stack: np.ndarray, logits: np.ndarray, w_ctx: np.ndarray,
     mixed = (att @ stack.reshape(m, L * n)).reshape(c, L, n)  # per-class filters
     weights = w_ctx.reshape(c, n, D)
     kernels = mixed @ weights  # (C, L, D)
-    windows = _padded_windows(features, L)  # (T, L*D)
-    scores = windows @ kernels.reshape(c, L * D).T
-    cache = {"windows": windows, "stack": stack, "att": att, "mixed": mixed,
+    padded = np.zeros((T + L - 1, D), dtype=features.dtype)
+    padded[(L - 1) // 2 : (L - 1) // 2 + T] = features
+    row, col = padded.strides
+    # shifted[l, t] = padded[t + l], read-only: every tap aliases the buffer
+    shifted = np.lib.stride_tricks.as_strided(padded, (L, T, D), (row, row, col),
+                                              writeable=False)
+    scores = (shifted @ np.ascontiguousarray(kernels.transpose(1, 2, 0))).sum(axis=0)
+    cache = {"shifted": shifted, "stack": stack, "att": att, "mixed": mixed,
              "weights": weights}
     return scores, cache
 
@@ -167,7 +160,8 @@ def _relative_grads(cache: dict, d_scores: np.ndarray):
     mixed, weights = cache["mixed"], cache["weights"]
     m, L, n = stack.shape
     c = att.shape[0]
-    d_kernels = (d_scores.T @ cache["windows"]).reshape(c, L, -1)  # (C, L, D)
+    d_kernels = np.ascontiguousarray(d_scores.T) @ cache["shifted"]  # (L, C, D)
+    d_kernels = d_kernels.transpose(1, 0, 2)  # (C, L, D)
     d_w_ctx = (mixed.transpose(0, 2, 1) @ d_kernels).reshape(c, -1)
     d_mixed = (d_kernels @ weights.transpose(0, 2, 1)).reshape(c, L * n)
     d_att = d_mixed @ stack.reshape(m, L * n).T  # (C, M)

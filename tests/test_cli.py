@@ -403,9 +403,13 @@ def test_undecodable_json_is_format_error(tmp_path, capsys):
     ["synth", "--dim", "0"],
     ["synth", "--split", "0"],
     ["synth", "--split", "5", "--videos", "5"],
+    ["synth", "--noise", "-1"],
+    ["synth", "--noise", "nan"],
+    ["synth", "--noise", "inf"],
 ], ids=["dropout-2", "even-kernel", "no-filters", "export-T-0", "no-instances",
         "no-gradcheck-filters", "no-gradcheck-gaussians", "synth-no-videos",
-        "synth-dim-0", "synth-split-0", "synth-split-all"])
+        "synth-dim-0", "synth-split-0", "synth-split-all", "synth-noise-negative",
+        "synth-noise-nan", "synth-noise-inf"])
 def test_bad_flag_value_is_usage_error(synth_dir, tmp_path, capsys, argv):
     out = tmp_path / "out"
     more = {"train": ["--data", str(synth_dir / "manifest_train.json"), "--out", str(out),
@@ -513,6 +517,33 @@ def test_synth_config_no_video_fits_is_error(tmp_path, capsys):
     assert code == 2 and "Traceback" not in err
     assert err.startswith("superevents: error: rule 0: no chain")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("noise", [-1.0, float("nan"), float("inf")],
+                         ids=["negative", "nan", "inf"])
+def test_synth_config_bad_noise_is_error(tmp_path, capsys, noise):
+    with pytest.raises(ValueError, match="noise_sigma"):
+        SynthConfig(noise_sigma=noise).validate()
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"num_videos": 2, "noise_sigma": noise}))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, ["synth", "--out", str(out), "--config", str(cfg)])
+    assert code == 2 and "noise_sigma" in err and "Traceback" not in err
+    assert not stdout and not out.exists()
+
+
+def test_failed_synth_leaves_nothing_behind(tmp_path, capsys):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"t_range": [10, 10]}))  # no video fits
+    new = tmp_path / "new" / "out"  # neither directory exists yet
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    (existing / "notes.txt").write_text("kept")
+    for out in (new, existing):
+        code, _, err = run(capsys, ["synth", "--out", str(out), "--config", str(cfg)])
+        assert code == 2 and "no chain" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "synth.json"]
+    assert [p.name for p in existing.iterdir()] == ["notes.txt"]
 
 
 def test_missing_checkpoint_is_io_error(synth_dir, capsys):

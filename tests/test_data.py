@@ -229,6 +229,25 @@ def test_generator_validation():
         small_cfg(t_range=(0, 10)).validate()
 
 
+def test_generator_failure_removes_what_it_wrote(tmp_path, monkeypatch):
+    # a write that fails after two videos are on disk
+    (tmp_path / "features").mkdir()
+    (tmp_path / "features" / "notes.txt").write_text("kept")
+    calls = []
+
+    def failing_save_labels(path, labels):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        save_labels(path, labels)
+
+    monkeypatch.setattr("superevents.data.save_labels", failing_save_labels)
+    with pytest.raises(OSError, match="disk full"):
+        generate_synthetic(small_cfg(), tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["features"]
+    assert [p.name for p in (tmp_path / "features").iterdir()] == ["notes.txt"]
+
+
 def test_config_dict_roundtrip():
     cfg = small_cfg()
     again = SynthConfig.from_dict(cfg.to_dict())

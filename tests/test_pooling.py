@@ -363,6 +363,56 @@ def test_relative_backward_matches_finite_differences():
                       {"stack": ds, "logits": dl, "w": dw})
 
 
+def relative_instance(T, L=101, m=2, n=1, d=2, c=2):
+    """Inputs of a relative pooling at kernel length L, rounded to float32 so
+    that every dtype holds exactly the same values."""
+    rng = np.random.default_rng(T)
+    arrays = (random_stack(rng, m, L, n), rng.normal(size=(c, m)),
+              rng.normal(size=(c, n * d)), rng.normal(size=(T, d)))
+    return [a.astype(np.float32).astype(np.float64) for a in arrays]
+
+
+# the recipe's L = 101: T = 1 and 3 are shorter than its half-width of 50,
+# T = 101 fills one window exactly, and T = 3000 is a long video
+@pytest.mark.parametrize("T", [1, 3, 101, 3000])
+def test_relative_long_kernel_matches_oracle_in_every_dtype(T):
+    stack, logits, w, v = relative_instance(T)
+    oracle = np.einsum("tck,ck->tc", pool_relative_oracle(stack, logits, v, 101), w)
+    for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12), (LD, 1e-12)):
+        args = [a.astype(dtype) for a in (stack, logits, w, v)]
+        before = args[3].copy()
+        scores, cache = _relative_state(*args)
+        grads = _relative_grads(cache, np.ones_like(scores))
+        assert np.array_equal(args[3], before)  # the caller's features
+        for out in (scores, *grads):
+            assert out.dtype == dtype and out.flags.c_contiguous
+        assert scores.shape == (T, 2)
+        assert np.abs(scores - oracle).max() <= tol * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("T", [1, 3, 101, 3000])
+def test_relative_long_kernel_grads_match_finite_differences(T):
+    # one central difference per parameter group along a random direction,
+    # in longdouble; the loss is linear in the stack and weights
+    stack, logits, w, v = (a.astype(LD) for a in relative_instance(T))
+    rng = np.random.default_rng(T + 1)
+    upstream = rng.normal(size=(T, 2)).astype(LD)
+    _, cache = _relative_state(stack, logits, w, v)
+    params = [stack, logits, w]
+    h = LD(1e-6)
+    for i, grad in enumerate(_relative_grads(cache, upstream)):
+        direction = rng.normal(size=grad.shape).astype(LD)
+
+        def loss(sign):
+            moved = [p + sign * h * direction if j == i else p
+                     for j, p in enumerate(params)]
+            return (upstream * pool_relative(*moved, v)).sum()
+
+        fd = (loss(1) - loss(-1)) / (2 * h)
+        analytic = (grad * direction).sum()
+        assert abs(fd - analytic) <= 1e-9 * abs(analytic), i
+
+
 def test_relative_rejects_mismatched_context_weights():
     rng = np.random.default_rng(17)
     stack = random_stack(rng, 2, 3, 2)
