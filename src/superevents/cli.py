@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .data import (
     SynthConfig,
-    check_fields,
     dataset_stats,
     generate_synthetic,
     load_dataset,
@@ -50,12 +49,6 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
-def finite_nonnegative_float(text: str) -> float:
-    if not 0 <= float(text) < float("inf"):
-        raise ValueError(text)
-    return float(text)
-
-
 class _Parser(argparse.ArgumentParser):
     # the contract reserves exit status 1 for usage errors
     def error(self, message):
@@ -74,17 +67,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="JSON file with SynthConfig fields")
     p.add_argument("--seed", type=int, help="generator seed")
-    p.add_argument("--videos", type=positive_int, help="number of videos")
-    p.add_argument("--dim", type=positive_int, help="feature dimension D")
-    p.add_argument("--noise", type=finite_nonnegative_float, help="feature noise sigma")
+    p.add_argument("--videos", type=int, help="number of videos")
+    p.add_argument("--dim", type=int, help="feature dimension D")
+    p.add_argument("--noise", type=float, help="feature noise sigma")
     p.add_argument("--split", type=int, metavar="N",
                    help="also write manifest_train.json (first N videos) and "
                         "manifest_test.json (rest)")
-    p.set_defaults(usage_error=p.error)  # for a --split the video count rules out
+    # for what SynthConfig.validate rejects, and a --split the video count rules out
+    p.set_defaults(usage_error=p.error)
 
     # a train flag other than --data, --out, --resume and --quiet, and a
-    # gradcheck flag other than --seed and --instances, sets the TrainConfig
-    # field its dest names and defaults to that field's default
+    # gradcheck flag other than --instances, sets the TrainConfig field its
+    # dest names and defaults to that field's default; gradcheck's seed is
+    # that of its first instance
     defaults = TrainConfig()
     p = sub.add_parser("train", help="train a detector")
     p.add_argument("--data", required=True, help="dataset manifest JSON")
@@ -117,12 +112,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients")
     p.add_argument("--variant", choices=VARIANTS, default=defaults.variant)
-    p.add_argument("--seed", type=int, default=0, help="first instance seed")
+    p.add_argument("--seed", type=int, default=defaults.seed, help="first instance seed")
     p.add_argument("--instances", type=positive_int, default=1)
-    p.add_argument("--filters", dest="num_filters", type=positive_int,
+    p.add_argument("--filters", dest="num_filters", type=int,
                    default=defaults.num_filters, metavar="M")
-    p.add_argument("--gaussians", dest="num_distributions", type=positive_int,
+    p.add_argument("--gaussians", dest="num_distributions", type=int,
                    default=defaults.num_distributions, metavar="N")
+    p.set_defaults(usage_error=p.error)  # for what TrainConfig.validate rejects
 
     p = sub.add_parser("export-filters",
                        help="per-class attention-combined filter matrices as JSON")
@@ -133,19 +129,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _validated(config, args):
+    """config, if its validate accepts it; a usage error otherwise."""
+    try:
+        return config.validate()
+    except ValueError as exc:
+        args.usage_error(str(exc))
+
+
+def _train_config(args) -> TrainConfig:
+    return _validated(TrainConfig(**{f.name: getattr(args, f.name)
+                                     for f in fields(TrainConfig) if f.name in args}), args)
+
+
 def _cmd_synth(args) -> int:
-    cfg_fields = {}
-    if args.config:
+    cfg = SynthConfig()
+    if args.config:  # valid on its own, before the flags override it
         doc = parse_json(Path(args.config).read_bytes(), args.config, "synth config")
-        cfg_fields = check_fields(doc, (), args.config, "synth config")
-    overrides = {
-        "seed": args.seed,
-        "num_videos": args.videos,
-        "feature_dim": args.dim,
-        "noise_sigma": args.noise,
-    }
-    cfg_fields.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = SynthConfig.from_dict(cfg_fields).validate()
+        cfg = SynthConfig.from_dict(doc, args.config)
+    flags = {"seed": args.seed, "num_videos": args.videos, "feature_dim": args.dim,
+             "noise_sigma": args.noise}
+    cfg = _validated(replace(cfg, **{k: v for k, v in flags.items() if v is not None}),
+                     args)
     if args.split is not None and not 0 < args.split < cfg.num_videos:
         args.usage_error(f"--split {args.split} must leave at least one of the "
                          f"{cfg.num_videos} videos on each side")
@@ -172,11 +177,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
-    try:
-        config.validate()
-    except ValueError as exc:
-        args.usage_error(str(exc))
+    config = _train_config(args)
     dataset = load_dataset(args.data)
     state = load_checkpoint(args.resume) if args.resume else None
 
@@ -213,11 +214,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    config = TrainConfig(variant=args.variant, num_filters=args.num_filters,
-                         num_distributions=args.num_distributions)
+    config = _train_config(args)
     all_passed = True
     for i in range(args.instances):
-        report = gradcheck(config, instance_seed=args.seed + i)
+        report = gradcheck(config, instance_seed=config.seed + i)
         print(report.format())
         all_passed &= report.passed
     return EXIT_OK if all_passed else EXIT_NUMERIC

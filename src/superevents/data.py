@@ -4,7 +4,7 @@ multi-activity benchmark generator.
 File formats (the public data contract; little-endian throughout):
 
 * features — magic ``TSFV``, u32 version (=1), u32 T, u32 D, then T*D
-  float32 values, frame-major.
+  finite float32 values, frame-major.
 * labels   — magic ``TSFL``, u32 version (=1), u32 T, u32 C, then T*C
   bytes, each 0 or 1.
 * manifest — UTF-8 JSON: schema_version, class_names, feature_dim, and a
@@ -32,7 +32,7 @@ import contextlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -153,7 +153,10 @@ def save_features(path, features: np.ndarray) -> None:
 
 
 def load_features(path) -> np.ndarray:
-    return _load_matrix(path, FEATURE_MAGIC, np.dtype("<f4"))
+    features = _load_matrix(path, FEATURE_MAGIC, np.dtype("<f4"))
+    if not np.isfinite(features).all():
+        raise FormatError(f"{path}: features are not finite")
+    return features
 
 
 def save_labels(path, labels: np.ndarray) -> None:
@@ -197,15 +200,26 @@ def _is_rng_state(value) -> bool:
     return True
 
 
+def _is_pair(check):
+    return lambda v: isinstance(v, list) and len(v) == 2 and all(map(check, v))
+
+
 # each field of the manifest, its videos, the checkpoint header and its
-# tensors: the check its value passes, and what that check asks for
+# tensors, and of a synth config and its rules: the check its value passes,
+# and what that check asks for
 _FIELD_CHECKS = {
     **dict.fromkeys(("feature_dim", "length", "num_classes", "num_distributions",
-                     "num_filters", "kernel_length", "adam_t", "iteration"),
+                     "num_filters", "kernel_length", "adam_t", "iteration",
+                     "num_videos", "base_classes", "seed", "trigger_a", "trigger_b"),
                     (_is_count, "a non-negative integer")),
+    **dict.fromkeys(("t_range", "event_len_range", "background_events", "gap_range"),
+                    (_is_pair(_is_count), "a pair of non-negative integers")),
+    "band": (_is_pair(lambda v: type(v) in (int, float)), "a pair of numbers"),
+    "noise_sigma": (lambda v: type(v) in (int, float), "a number"),
     **dict.fromkeys(("id", "variant", "name", "dtype"),
                     (lambda v: isinstance(v, str), "a string")),
-    **dict.fromkeys(("videos", "tensors"), (lambda v: isinstance(v, list), "a list")),
+    **dict.fromkeys(("videos", "tensors", "rules"),
+                    (lambda v: isinstance(v, list), "a list")),
     **dict.fromkeys(("feature_path", "label_path"), (
         lambda v: isinstance(v, str) and not Path(v).is_absolute(), "a relative path")),
     "class_names": (lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
@@ -219,19 +233,22 @@ _MANIFEST_FIELDS = ("class_names", "feature_dim", "videos")
 _VIDEO_FIELDS = ("id", "feature_path", "label_path", "length")
 
 
-def check_fields(doc, keys, path, what: str, exact: bool = False) -> dict:
-    """doc, if it is a JSON object holding each of keys (and, if exact, no
-    other) with a value that passes its check; FormatError otherwise."""
+def check_fields(doc, keys, path, what: str, exact: bool = False, optional=()) -> dict:
+    """doc, if it is a JSON object holding each of keys, perhaps some of
+    optional (and, if exact, no other key), each with a value that passes its
+    check; FormatError otherwise."""
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: {what} is not a JSON object")
-    for key in keys:
-        if key not in doc:
-            raise FormatError(f"{path}: {what} lacks {key}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise FormatError(f"{path}: {what} lacks {missing[0]}")
+    unknown = sorted(set(doc) - {*keys, *optional})
+    if exact and unknown:
+        raise FormatError(f"{path}: {what} has unknown field(s) {', '.join(unknown)}")
+    for key in (*keys, *optional):
         passes, wanted = _FIELD_CHECKS[key]
-        if not passes(doc[key]):
+        if key in doc and not passes(doc[key]):
             raise FormatError(f"{path}: {what} {key} {doc[key]!r:.80} is not {wanted}")
-    if exact and len(doc) != len(keys):
-        raise FormatError(f"{path}: {what} has keys other than {', '.join(keys)}")
     return doc
 
 
@@ -354,28 +371,8 @@ class PairedRule:
     band: tuple[float, float] = (0.0, 1.0)
 
 
-def _checked(name: str, value, default):
-    """`value` in the form of the field's `default` (an int, a float or a pair
-    of them, where an int may stand for a float); FormatError otherwise."""
-    def conforms(v, want):
-        if isinstance(want, tuple):
-            return (isinstance(v, (list, tuple)) and len(v) == len(want)
-                    and all(map(conforms, v, want)))
-        return type(v) is int or (type(v) is float and type(want) is float)
-
-    if not conforms(value, default):
-        raise FormatError(f"SynthConfig {name} must be like {default!r}, got {value!r}")
-    return tuple(value) if isinstance(default, tuple) else value
-
-
-def _checked_rule(index: int, rule: dict) -> PairedRule:
-    template = PairedRule(0, 0)
-    return PairedRule(**{
-        f.name: _checked(f"rules[{index}].{f.name}",
-                         rule.get(f.name, getattr(template, f.name)),
-                         getattr(template, f.name))
-        for f in fields(PairedRule)
-    })
+def _tuples(doc: dict) -> dict:
+    return {key: tuple(v) if isinstance(v, list) else v for key, v in doc.items()}
 
 
 @dataclass
@@ -407,53 +404,51 @@ class SynthConfig:
         a = self.base_classes + 2 * rule_index
         return a, a + 1
 
-    def validate(self):
-        if self.num_videos < 1:
-            raise ValueError("num_videos must be >= 1")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
-        if self.t_range[0] < 1 or self.t_range[0] > self.t_range[1]:
-            raise ValueError("bad t_range")
-        if self.event_len_range[0] < 1 or self.event_len_range[0] > self.event_len_range[1]:
-            raise ValueError("bad event_len_range")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError(f"noise_sigma {self.noise_sigma} must be finite and >= 0")
-        for r in self.rules:
-            if not (0 <= r.trigger_a < self.base_classes
-                    and 0 <= r.trigger_b < self.base_classes):
-                raise ValueError("rule triggers must be base classes")
-            if r.trigger_a == r.trigger_b:
-                raise ValueError("a rule's two triggers must differ")
-            if r.gap_range[0] < 0 or r.gap_range[0] > r.gap_range[1]:
-                raise ValueError("bad gap_range")
+    def validate(self) -> "SynthConfig":
+        """self, if every value is in range; ValueError naming the field and
+        its range otherwise."""
+        def require(ok, name, value, wanted):
+            if not ok:
+                raise ValueError(f"{name} {value!r} must be {wanted}")
+
+        for name in ("num_videos", "feature_dim", "base_classes"):
+            require(getattr(self, name) >= 1, name, getattr(self, name), ">= 1")
+        require(self.seed >= 0, "seed", self.seed, ">= 0")
+        require(0 <= self.noise_sigma < math.inf, "noise_sigma", self.noise_sigma,
+                "finite and >= 0")
+        for name, least in (("t_range", 1), ("event_len_range", 1), ("background_events", 0)):
+            lo, hi = getattr(self, name)
+            require(least <= lo <= hi, name, (lo, hi), f"a pair with {least} <= lo <= hi")
+        for i, r in enumerate(self.rules):
+            for name in ("trigger_a", "trigger_b"):
+                require(0 <= getattr(r, name) < self.base_classes, f"rules[{i}].{name}",
+                        getattr(r, name), f"a base class, below {self.base_classes}")
+            require(r.trigger_b != r.trigger_a, f"rules[{i}].trigger_b", r.trigger_b,
+                    "other than trigger_a")
+            require(0 <= r.gap_range[0] <= r.gap_range[1], f"rules[{i}].gap_range",
+                    r.gap_range, "a pair with 0 <= lo <= hi")
+            require(0 <= r.band[0] <= r.band[1] <= 1, f"rules[{i}].band", r.band,
+                    "a pair with 0 <= lo <= hi <= 1")
         return self
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["rules"] = [asdict(r) for r in self.rules]
-        return d
-
     @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown SynthConfig field(s): {', '.join(unknown)}")
-        d = dict(d)
-        if "rules" in d:
-            rules = d["rules"]
-            if not (isinstance(rules, list) and all(
-                    isinstance(r, dict) and {"trigger_a", "trigger_b"} <= set(r)
-                    for r in rules)):
-                raise FormatError(
-                    "SynthConfig rules must be a list of objects with trigger_a "
-                    "and trigger_b"
-                )
-            d["rules"] = tuple(_checked_rule(i, r) for i, r in enumerate(rules))
-        template = cls()
-        for key, value in d.items():
-            if key != "rules":
-                d[key] = _checked(key, value, getattr(template, key))
-        return cls(**d)
+    def from_dict(cls, doc, path) -> "SynthConfig":
+        """The config a synth config JSON document read from path describes;
+        FormatError naming path and the field if a value is malformed, or out
+        of range on its own."""
+        check_fields(doc, (), path, "synth config", exact=True,
+                     optional=[f.name for f in fields(cls)])
+        values = _tuples(doc)
+        if "rules" in doc:
+            values["rules"] = tuple(
+                PairedRule(**_tuples(check_fields(
+                    rule, ("trigger_a", "trigger_b"), path, f"synth config rules[{i}]",
+                    exact=True, optional=("gap_range", "band"))))
+                for i, rule in enumerate(doc["rules"]))
+        try:
+            return cls(**values).validate()
+        except ValueError as exc:
+            raise FormatError(f"{path}: synth config {exc}") from exc
 
 
 def emission_vectors(cfg: SynthConfig) -> np.ndarray:

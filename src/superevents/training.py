@@ -19,6 +19,7 @@ precision, with dropout forced off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -48,6 +49,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 GRADCHECK_TOLERANCE = 1e-4
+_GRADCHECK_STEP = 1e-4  # central finite-difference step
 
 
 @dataclass
@@ -65,10 +67,13 @@ class TrainConfig:
     variant: str = "attended"
 
     def validate(self) -> "TrainConfig":
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        for name in ("lr", "lr_decay_factor"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.lr_decay_every < 1:
             raise ValueError("lr_decay_every must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
         if self.batch_size < 1:
@@ -80,9 +85,6 @@ class TrainConfig:
         if self.variant == "relative":
             check_kernel_length(self.kernel_length)
         return self
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def effective_lr(config: TrainConfig, iteration: int) -> float:
@@ -152,7 +154,7 @@ def train(config: TrainConfig, dataset: Dataset, state: ModelState | None = None
                 f"{config.variant!r}"
             )
         check_compatible(state, dataset)
-    state.config = config.to_dict()  # the echo of the run that wrote the state
+    state.config = asdict(config)  # the echo of the run that wrote the state
 
     rng = _restore_rng(state)
     num_videos = len(dataset.videos)
@@ -206,26 +208,25 @@ class GradcheckReport:
     instance_seed: int
     dims: dict
     max_rel_err: dict[str, float] = field(default_factory=dict)
-    tolerance: float = GRADCHECK_TOLERANCE
 
     @property
     def passed(self) -> bool:
-        return all(v < self.tolerance for v in self.max_rel_err.values())
+        return all(v < GRADCHECK_TOLERANCE for v in self.max_rel_err.values())
 
     def format(self) -> str:
         lines = [
             f"gradcheck variant={self.variant} seed={self.instance_seed} "
-            f"dims={self.dims} tolerance={self.tolerance:g}"
+            f"dims={self.dims} tolerance={GRADCHECK_TOLERANCE:g}"
         ]
         for name in sorted(self.max_rel_err):
             err = self.max_rel_err[name]
-            flag = "ok" if err < self.tolerance else "FAIL"
+            flag = "ok" if err < GRADCHECK_TOLERANCE else "FAIL"
             lines.append(f"  {name:<20} max_rel_err={err:.3e}  {flag}")
         lines.append(f"  => {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
 
-def gradcheck(config: TrainConfig, instance_seed: int, h: float = 1e-4) -> GradcheckReport:
+def gradcheck(config: TrainConfig, instance_seed: int) -> GradcheckReport:
     """Analytic vs central-finite-difference gradients on a small random
     instance, in the widest float precision. Dropout is never applied here."""
     rng = np.random.default_rng(instance_seed)
@@ -256,17 +257,18 @@ def gradcheck(config: TrainConfig, instance_seed: int, h: float = 1e-4) -> Gradc
         instance_seed=instance_seed,
         dims={"T": T, "D": D, "C": C, "M": M, "N": N, "L": L},
     )
+    h = wide(_GRADCHECK_STEP)
     for name, arr in state.params.items():
         flat = arr.reshape(-1)
         worst = 0.0
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + wide(h)
+            flat[i] = orig + h
             hi = loss_at()
-            flat[i] = orig - wide(h)
+            flat[i] = orig - h
             lo = loss_at()
             flat[i] = orig
-            fd = (hi - lo) / (2 * wide(h))
+            fd = (hi - lo) / (2 * h)
             a = float(analytic[name].reshape(-1)[i])
             rel = abs(a - float(fd)) / max(abs(a), abs(float(fd)), 1e-8)
             worst = max(worst, rel)

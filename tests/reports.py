@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from superevents.training import GRADCHECK_TOLERANCE
+
 
 def mean_over(report, class_indices) -> float:
     """Mean AP of an EvalReport over the given classes, each with positives."""
@@ -12,5 +14,5 @@ def mean_over(report, class_indices) -> float:
 
 
 def failing_groups(report) -> list[str]:
-    """The parameter groups of a GradcheckReport at or over its tolerance."""
-    return [k for k, v in report.max_rel_err.items() if v >= report.tolerance]
+    """The parameter groups of a GradcheckReport at or over the tolerance."""
+    return [k for k, v in report.max_rel_err.items() if v >= GRADCHECK_TOLERANCE]

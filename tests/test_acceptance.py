@@ -17,6 +17,7 @@ import math
 import multiprocessing
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -346,7 +347,7 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
     identical = (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     # save -> load -> resume matches the uninterrupted run bitwise
-    half, _ = train(TrainConfig(**{**cfg.to_dict(), "iterations": 8}), train_ds)
+    half, _ = train(replace(cfg, iterations=8), train_ds)
     save_checkpoint(half, tmp_path / "half.ckpt")
     resumed, _ = train(cfg, train_ds, state=load_checkpoint(tmp_path / "half.ckpt"))
     resume_ok = all(

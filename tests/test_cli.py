@@ -1,11 +1,14 @@
 import json
+import shutil
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from superevents.cli import main
-from superevents.data import SynthConfig, load_dataset, load_manifest
+from superevents.data import (SynthConfig, load_dataset, load_features, load_manifest,
+                              save_features)
 from superevents.errors import FormatError, ModelDatasetMismatchError
 from superevents.evaluation import evaluate
 from superevents.model import load_checkpoint
@@ -104,7 +107,7 @@ def test_train_flag_defaults_are_the_config_defaults(synth_dir, tmp_path, capsys
     code, _, _ = run(capsys, ["train", "--data", str(synth_dir / "manifest_train.json"),
                               "--out", str(ckpt), "--iters", "1", "--quiet"])
     assert code == 0
-    assert load_checkpoint(ckpt).config == TrainConfig(iterations=1).to_dict()
+    assert load_checkpoint(ckpt).config == asdict(TrainConfig(iterations=1))
 
 
 def test_train_baseline_has_no_filter_params(synth_dir, tmp_path, capsys):
@@ -406,10 +409,20 @@ def test_undecodable_json_is_format_error(tmp_path, capsys):
     ["synth", "--noise", "-1"],
     ["synth", "--noise", "nan"],
     ["synth", "--noise", "inf"],
+    ["train", "--lr", "nan"],
+    ["train", "--lr", "inf"],
+    ["train", "--lr-decay-factor", "nan"],
+    ["train", "--lr-decay-factor", "inf"],
+    ["train", "--lr-decay-factor", "-1"],
+    ["train", "--seed", "-1"],
+    ["gradcheck", "--seed", "-1"],
+    ["synth", "--seed", "-1"],
 ], ids=["dropout-2", "even-kernel", "no-filters", "export-T-0", "no-instances",
         "no-gradcheck-filters", "no-gradcheck-gaussians", "synth-no-videos",
         "synth-dim-0", "synth-split-0", "synth-split-all", "synth-noise-negative",
-        "synth-noise-nan", "synth-noise-inf"])
+        "synth-noise-nan", "synth-noise-inf", "lr-nan", "lr-inf", "lr-decay-factor-nan",
+        "lr-decay-factor-inf", "lr-decay-factor-negative", "train-seed-negative",
+        "gradcheck-seed-negative", "synth-seed-negative"])
 def test_bad_flag_value_is_usage_error(synth_dir, tmp_path, capsys, argv):
     out = tmp_path / "out"
     more = {"train": ["--data", str(synth_dir / "manifest_train.json"), "--out", str(out),
@@ -481,9 +494,9 @@ def test_manifest_path_not_relative_is_format_error(synth_dir, baseline_ckpt, tm
 
 def test_synth_config_unknown_field_is_rejected(tmp_path, capsys):
     fields = {"num_videos": 2, "frame_rate": 30}
-    with pytest.raises(ValueError, match="frame_rate"):
-        SynthConfig.from_dict(fields)
     cfg = tmp_path / "synth.json"
+    with pytest.raises(FormatError, match="frame_rate"):
+        SynthConfig.from_dict(fields, cfg)
     cfg.write_text(json.dumps(fields))
     code, _, err = run(capsys, ["synth", "--out", str(tmp_path / "out"),
                                 "--config", str(cfg)])
@@ -495,17 +508,35 @@ def test_synth_config_unknown_field_is_rejected(tmp_path, capsys):
     ({"num_videos": 2, "rules": [{"trigger_a": 0}]}, "trigger_b"),
     ({"num_videos": 2, "t_range": 5}, "t_range"),
     ({"num_videos": 2, "rules": [{"trigger_a": None, "trigger_b": 1}]}, "trigger_a"),
+    ({"num_videos": 2, "rules": [{"trigger_a": 0, "trigger_b": 1,
+                                  "gap_rnage": [40, 50]}]}, "gap_rnage"),
+    ({"num_videos": 2, "seed": -5}, "seed"),
+    ({"num_videos": 2, "rules": [{"trigger_a": 0, "trigger_b": 1, "band": [1.5, 2.0]}]},
+     "band"),
+    ({"num_videos": 2, "rules": [{"trigger_a": 0, "trigger_b": 1, "band": [-1, -0.5]}]},
+     "band"),
+    ({"num_videos": 2, "rules": [{"trigger_a": 0, "trigger_b": 1, "band": [0.9, 0.1]}]},
+     "band"),
+    ({"num_videos": 2, "base_classes": 6, "background_events": [3, 1]},
+     "background_events"),
+    ({"num_videos": 0}, "num_videos"),
+    ({"num_videos": 2, "base_classes": 0, "rules": []}, "base_classes"),
 ], ids=["top-level-list", "rule-without-trigger-b", "t-range-not-a-pair",
-        "trigger-a-null"])
+        "trigger-a-null", "misspelled-rule-key", "negative-seed", "band-above-1",
+        "band-below-0", "band-reversed", "background-events-reversed", "no-videos",
+        "no-classes"])
 def test_synth_config_malformed_is_format_error(tmp_path, capsys, doc, problem):
+    cfg = tmp_path / "synth.json"
     if isinstance(doc, dict):
         with pytest.raises(FormatError, match=problem):
-            SynthConfig.from_dict(doc)
-    cfg = tmp_path / "synth.json"
+            SynthConfig.from_dict(doc, cfg)
     cfg.write_text(json.dumps(doc))
-    code, _, err = run(capsys, ["synth", "--out", str(tmp_path / "out"),
-                                "--config", str(cfg)])
-    assert code == 2 and problem in err and "Traceback" not in err
+    out = tmp_path / "out"
+    # the file must be valid on its own; flags override it only afterwards
+    code, stdout, err = run(capsys, ["synth", "--out", str(out), "--config", str(cfg),
+                                     "--videos", "2"])
+    assert code == 2 and problem in err and str(cfg) in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and not stdout and not out.exists()
 
 
 def test_synth_config_no_video_fits_is_error(tmp_path, capsys):
@@ -544,6 +575,19 @@ def test_failed_synth_leaves_nothing_behind(tmp_path, capsys):
         assert code == 2 and "no chain" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "synth.json"]
     assert [p.name for p in existing.iterdir()] == ["notes.txt"]
+
+
+def test_non_finite_feature_file_is_format_error(synth_dir, baseline_ckpt, tmp_path,
+                                                 capsys):
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    path = data / "features" / "v00001.tsfv"
+    features = load_features(path)
+    features[3, 0] = np.nan
+    save_features(path, features)
+    code, stdout, err = run(capsys, ["eval", "--data", str(data / "manifest.json"),
+                                     "--model", str(baseline_ckpt)])
+    assert code == 2 and str(path) in err and "not finite" in err and not stdout
 
 
 def test_missing_checkpoint_is_io_error(synth_dir, capsys):

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -137,6 +140,17 @@ def test_label_byte_validation(tmp_path):
         save_labels(p, np.full((2, 2), 3, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_features_rejected(tmp_path, value):
+    p = tmp_path / "f.tsfv"
+    features = np.ones((3, 2), dtype=np.float32)
+    features[1, 0] = value
+    save_features(p, features)
+    with pytest.raises(FormatError, match="not finite") as info:
+        load_features(p)
+    assert str(p) in str(info.value)
+
+
 @pytest.mark.parametrize("labels", [[[0.7, 1.0]], [[256, 1]], [[-255, 0]],
                                     [[np.nan, 1.0]]],
                          ids=["fraction", "wraps-to-0", "wraps-to-1", "nan"])
@@ -248,9 +262,9 @@ def test_generator_failure_removes_what_it_wrote(tmp_path, monkeypatch):
     assert [p.name for p in (tmp_path / "features").iterdir()] == ["notes.txt"]
 
 
-def test_config_dict_roundtrip():
+def test_config_dict_roundtrip(tmp_path):
     cfg = small_cfg()
-    again = SynthConfig.from_dict(cfg.to_dict())
+    again = SynthConfig.from_dict(json.loads(json.dumps(asdict(cfg))), tmp_path / "c.json")
     assert again == cfg
 
 
