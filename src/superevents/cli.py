@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"superevents: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, ValueError, SupereventsError) as exc:
+    except (OSError, ValueError, MemoryError, SupereventsError) as exc:
         print(f"superevents: error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -200,6 +200,13 @@ def _is_rng_state(value) -> bool:
     return True
 
 
+def _is_number(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _is_pair(check):
     return lambda v: isinstance(v, list) and len(v) == 2 and all(map(check, v))
 
@@ -214,8 +221,8 @@ _FIELD_CHECKS = {
                     (_is_count, "a non-negative integer")),
     **dict.fromkeys(("t_range", "event_len_range", "background_events", "gap_range"),
                     (_is_pair(_is_count), "a pair of non-negative integers")),
-    "band": (_is_pair(lambda v: type(v) in (int, float)), "a pair of numbers"),
-    "noise_sigma": (lambda v: type(v) in (int, float), "a number"),
+    "band": (_is_pair(_is_number), "a pair of finite numbers"),
+    "noise_sigma": (_is_number, "a finite number"),
     **dict.fromkeys(("id", "variant", "name", "dtype"),
                     (lambda v: isinstance(v, str), "a string")),
     **dict.fromkeys(("videos", "tensors", "rules"),
@@ -419,6 +426,9 @@ class SynthConfig:
         for name, least in (("t_range", 1), ("event_len_range", 1), ("background_events", 0)):
             lo, hi = getattr(self, name)
             require(least <= lo <= hi, name, (lo, hi), f"a pair with {least} <= lo <= hi")
+        require(self.event_len_range[0] <= self.t_range[0], "event_len_range",
+                self.event_len_range, f"a pair whose lo is at most t_range's lo, "
+                f"{self.t_range[0]}")
         for i, r in enumerate(self.rules):
             for name in ("trigger_a", "trigger_b"):
                 require(0 <= getattr(r, name) < self.base_classes, f"rules[{i}].{name}",

@@ -15,10 +15,11 @@ are fixed inputs, so no gradient flows to them):
                      to mixing filters first, and cheaper when C > M).
 * pool_relative    — fixed-length L filters slid over the sequence as
                      zero-padded, centered convolution kernels. The per-frame
-                     context is only read through the classifier, so its
-                     weights are folded into one L x D kernel per class and
-                     the result is a (T, C) score: one matmul per tap over a
-                     shifted view of the padded features, no window matrix.
+                     context is only read through the classifier, so the
+                     result is a (T, C) score: the features are projected
+                     onto the classifier's C*N context-weight rows, and each
+                     of those signals is correlated with its own mixed filter
+                     column, as blocked banded matmuls (no window matrix).
                      The model calls _relative_state, which also returns the
                      cache _relative_grads reads.
 * pool_baseline    — parameter-free global max / mean / 3-level temporal
@@ -116,17 +117,51 @@ def pool_attended_backward(stack: np.ndarray, logits: np.ndarray,
     return d_stack, d_logits
 
 
+# output frames per block of the relative correlation (see _correlate); of
+# 8 to 48, 16 was about the fastest at both T=200 and T=3000 (L=101, C*N=24,
+# float32, one BLAS thread on 2 vCPUs)
+_BLOCK = 16
+
+
+def _correlate(signals: np.ndarray, kernels: np.ndarray):
+    """Centered zero-padded correlation of (..., T) signals with (..., L)
+    kernels (broadcast), out[t] = sum_l kernel[l] * signal[t - (L-1)/2 + l].
+
+    Each block of B output frames is one row of a (nb, B+L-1) @ (B+L-1, B)
+    matmul, nb = ceil(T / B): its B+L-1 input frames (zeros outside
+    [0, T-1]) by a banded matrix whose column b holds the kernel from row b
+    on. Returns (out (..., T), the contiguous (..., nb, B+L-1) frame blocks).
+    """
+    T, length = signals.shape[-1], kernels.shape[-1]
+    nb, half, width = -(-T // _BLOCK), (length - 1) // 2, _BLOCK + length - 1
+    padded = np.zeros(signals.shape[:-1] + (nb * _BLOCK + length - 1,), signals.dtype)
+    padded[..., half : half + T] = signals
+    # frames[..., j, i] = padded[..., j*B + i]; np.ndarray checks that a view
+    # given a buffer stays inside it
+    step = padded.itemsize
+    frames = np.ndarray(signals.shape[:-1] + (nb, width), padded.dtype, padded,
+                        strides=padded.strides[:-1] + (_BLOCK * step, step)).copy()
+    band = np.zeros(kernels.shape[:-1] + (width, _BLOCK), kernels.dtype)
+    step = band.itemsize  # band[..., b + l, b] = kernel[..., l]
+    np.ndarray(kernels.shape[:-1] + (_BLOCK, length), band.dtype, band,
+               strides=band.strides[:-2] + ((_BLOCK + 1) * step, _BLOCK * step)
+               )[...] = kernels[..., None, :]
+    out = frames @ band  # (..., nb, B)
+    return out.reshape(out.shape[:-2] + (-1,))[..., :T], frames
+
+
 def _relative_state(stack: np.ndarray, logits: np.ndarray, w_ctx: np.ndarray,
                     features: np.ndarray):
     """Per-frame context scores (T, C) with the classifier's context weights
-    (C, N*D) folded into the kernels, plus the cache _relative_grads needs.
+    (C, N*D) folded in, plus the cache _relative_grads needs.
 
     The per-frame context is linear in the features, and the classifier only
-    reads it through w_ctx, so attention, filters and weights collapse into
-    one (L, D) kernel per class, K_c[l] = sum_{m,n} att[c,m] F_m[l,n] w_c[n];
-    the scores are a sum over the L taps of one (T, D) @ (D, C) matmul each.
-    Tap l reads the zero-padded features shifted by l frames, a strided view
-    of one (T+L-1, D) buffer, so no (T, L*D) window matrix is built.
+    reads it through w_ctx, so class c's score is sum_n of the correlation of
+    the signal w_c[n] . features[t] with the mixed filter column
+    sum_m att[c,m] F_m[:, n]. The C*N signals come from one (C*N, D) @ (D, T)
+    matmul, and each is correlated with its own L-tap kernel by _correlate:
+    C*N multiply-adds per frame and tap, where correlating the features with
+    one (L, D) kernel per class would take C*D.
     """
     features = np.asarray(features)
     m, L, n = stack.shape  # the filters are materialized at the kernel length
@@ -140,30 +175,37 @@ def _relative_state(stack: np.ndarray, logits: np.ndarray, w_ctx: np.ndarray,
 
     att = soft_attention(logits)
     mixed = (att @ stack.reshape(m, L * n)).reshape(c, L, n)  # per-class filters
-    weights = w_ctx.reshape(c, n, D)
-    kernels = mixed @ weights  # (C, L, D)
-    padded = np.zeros((T + L - 1, D), dtype=features.dtype)
-    padded[(L - 1) // 2 : (L - 1) // 2 + T] = features
-    row, col = padded.strides
-    # shifted[l, t] = padded[t + l], read-only: every tap aliases the buffer
-    shifted = np.lib.stride_tricks.as_strided(padded, (L, T, D), (row, row, col),
-                                              writeable=False)
-    scores = (shifted @ np.ascontiguousarray(kernels.transpose(1, 2, 0))).sum(axis=0)
-    cache = {"shifted": shifted, "stack": stack, "att": att, "mixed": mixed,
-             "weights": weights}
+    signals = (w_ctx.reshape(c * n, D) @ features.T).reshape(c, n, T)
+    out, frames = _correlate(signals, np.swapaxes(mixed, 1, 2))  # (C, N, T)
+    scores = np.ascontiguousarray(out.sum(axis=1).T)
+    cache = {"features": features, "frames": frames, "stack": stack, "att": att,
+             "mixed": mixed}
     return scores, cache
 
 
 def _relative_grads(cache: dict, d_scores: np.ndarray):
     """(d_filter_stack, d_logits, d_w_ctx) from a _relative_state cache."""
-    stack, att = cache["stack"], cache["att"]
-    mixed, weights = cache["mixed"], cache["weights"]
+    stack, att, mixed = cache["stack"], cache["att"], cache["mixed"]
+    features, frames = cache["features"], cache["frames"]
     m, L, n = stack.shape
     c = att.shape[0]
-    d_kernels = np.ascontiguousarray(d_scores.T) @ cache["shifted"]  # (L, C, D)
-    d_kernels = d_kernels.transpose(1, 0, 2)  # (C, L, D)
-    d_w_ctx = (mixed.transpose(0, 2, 1) @ d_kernels).reshape(c, -1)
-    d_mixed = (d_kernels @ weights.transpose(0, 2, 1)).reshape(c, L * n)
+    # the adjoint of a centered correlation is the one with reversed kernels
+    d_signals, d_frames = _correlate(d_scores.T[:, None],
+                                     np.swapaxes(mixed[:, ::-1], 1, 2))  # (C, N, T)
+    d_w_ctx = (d_signals.reshape(c * n, -1) @ features).reshape(c, -1)
+    # d_kernel[l] = sum_t d_scores[t] * frame[t + l], summed over blocks by
+    # one (B, nb) @ (nb, B+L-1) matmul per channel (d_frames holds the
+    # zero-padded (nb, B) blocks of d_scores from column (L-1)/2 on), then
+    # over b of element [b, b + l]: written with rows B+L-1 long and read
+    # with rows B+L long, that element sits at [b, l], and the last B
+    # elements of prod, never written, are never read either
+    lead, width, half = frames.shape[:-2], _BLOCK + L - 1, (L - 1) // 2
+    prod = np.empty(lead + (_BLOCK * (width + 1),), np.result_type(d_frames, frames))
+    np.matmul(np.swapaxes(d_frames[..., half : half + _BLOCK], -1, -2), frames,
+              out=prod[..., : _BLOCK * width].reshape(lead + (_BLOCK, width)))
+    diagonals = prod.reshape(lead + (_BLOCK, width + 1))[..., :L]
+    d_kernels = np.ones(_BLOCK, prod.dtype) @ diagonals  # (C, N, L)
+    d_mixed = np.swapaxes(d_kernels, 1, 2).reshape(c, L * n)
     d_att = d_mixed @ stack.reshape(m, L * n).T  # (C, M)
     d_logits = soft_attention_backward(att, d_att)
     d_stack = (att.T @ d_mixed).reshape(m, L, n)

@@ -521,10 +521,13 @@ def test_synth_config_unknown_field_is_rejected(tmp_path, capsys):
      "background_events"),
     ({"num_videos": 0}, "num_videos"),
     ({"num_videos": 2, "base_classes": 0, "rules": []}, "base_classes"),
+    # a background event at least event_len_range[0] long must fit each video
+    ({"num_videos": 2, "t_range": [5, 5], "rules": []}, "event_len_range"),
+    ({"num_videos": 2, "noise_sigma": 10**400}, "noise_sigma"),
 ], ids=["top-level-list", "rule-without-trigger-b", "t-range-not-a-pair",
         "trigger-a-null", "misspelled-rule-key", "negative-seed", "band-above-1",
         "band-below-0", "band-reversed", "background-events-reversed", "no-videos",
-        "no-classes"])
+        "no-classes", "event-longer-than-video", "noise-beyond-float"])
 def test_synth_config_malformed_is_format_error(tmp_path, capsys, doc, problem):
     cfg = tmp_path / "synth.json"
     if isinstance(doc, dict):
@@ -575,6 +578,16 @@ def test_failed_synth_leaves_nothing_behind(tmp_path, capsys):
         assert code == 2 and "no chain" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "synth.json"]
     assert [p.name for p in existing.iterdir()] == ["notes.txt"]
+
+
+def test_unallocatable_synth_is_io_error(tmp_path, capsys):
+    # 5.68 PiB of emission vectors: numpy refuses the allocation at once
+    out = tmp_path / "new" / "out"
+    code, stdout, err = run(capsys, ["synth", "--out", str(out), "--videos", "1",
+                                     "--dim", "100000000000000"])
+    assert code == 2 and err.startswith("superevents: error: Unable to allocate")
+    assert len(err.strip().splitlines()) == 1 and not stdout
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_non_finite_feature_file_is_format_error(synth_dir, baseline_ckpt, tmp_path,

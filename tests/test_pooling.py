@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from oracles import (pool_attended_oracle, pool_relative_oracle,
                      pool_single_oracle, pyramid_oracle, rel_err)
 from superevents.filters import materialize_stack
 from superevents.pooling import (
+    _BLOCK,
     _relative_grads,
     _relative_state,
     pool_attended,
@@ -365,36 +367,61 @@ def test_relative_backward_matches_finite_differences():
 
 def relative_instance(T, L=101, m=2, n=1, d=2, c=2):
     """Inputs of a relative pooling at kernel length L, rounded to float32 so
-    that every dtype holds exactly the same values."""
+    that every dtype holds exactly the same values. At L = 1 every
+    materialized filter is the constant 1 and the logits would not move the
+    scores, so the one tap is drawn at random there."""
     rng = np.random.default_rng(T)
-    arrays = (random_stack(rng, m, L, n), rng.normal(size=(c, m)),
-              rng.normal(size=(c, n * d)), rng.normal(size=(T, d)))
+    stack = random_stack(rng, m, L, n) if L > 1 else rng.uniform(0.5, 1.5, (m, 1, n))
+    arrays = (stack, rng.normal(size=(c, m)), rng.normal(size=(c, n * d)),
+              rng.normal(size=(T, d)))
     return [a.astype(np.float32).astype(np.float64) for a in arrays]
 
 
-# the recipe's L = 101: T = 1 and 3 are shorter than its half-width of 50,
-# T = 101 fills one window exactly, and T = 3000 is a long video
-@pytest.mark.parametrize("T", [1, 3, 101, 3000])
-def test_relative_long_kernel_matches_oracle_in_every_dtype(T):
-    stack, logits, w, v = relative_instance(T)
-    oracle = np.einsum("tck,ck->tc", pool_relative_oracle(stack, logits, v, 101), w)
-    for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12), (LD, 1e-12)):
+# T = B-1, B, B+1 and 2B+1 straddle the correlation's blocks of B = _BLOCK
+# output frames; at the recipe's L = 101 every T up to 2B+1 is shorter than
+# the kernel, T = 101 fills one window exactly, and T = 3000 is a long video.
+# Ids name L where it is not 101.
+RELATIVE_CASES = [(T, L) for T in (1, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   2 * _BLOCK + 1, 101, 3000)
+                  for L in (101, 1, 3)]
+RELATIVE_IDS = [f"{T}" if L == 101 else f"{T}-L{L}" for T, L in RELATIVE_CASES]
+
+
+@pytest.mark.parametrize("T, L", RELATIVE_CASES, ids=RELATIVE_IDS)
+def test_relative_long_kernel_matches_oracle_in_every_dtype(T, L):
+    # scores and d_w_ctx against the brute-force context (the loss is linear
+    # in w_ctx), and every gradient against the longdouble one, which
+    # test_relative_long_kernel_grads_match_finite_differences checks
+    stack, logits, w, v = relative_instance(T, L)
+    upstream = np.random.default_rng(T + 1).normal(size=(T, 2))
+    upstream = upstream.astype(np.float32).astype(np.float64)
+    context = pool_relative_oracle(stack, logits, v, L)  # (T, C, N*D)
+    oracle = np.einsum("tck,ck->tc", context, w)
+    d_w_oracle = np.einsum("tc,tck->ck", upstream, context)
+    exact = None  # the longdouble gradients
+    for dtype, tol in ((LD, 1e-12), (np.float64, 1e-12), (np.float32, 1e-5)):
         args = [a.astype(dtype) for a in (stack, logits, w, v)]
         before = args[3].copy()
         scores, cache = _relative_state(*args)
-        grads = _relative_grads(cache, np.ones_like(scores))
+        grads = _relative_grads(cache, upstream.astype(dtype))
         assert np.array_equal(args[3], before)  # the caller's features
         for out in (scores, *grads):
             assert out.dtype == dtype and out.flags.c_contiguous
         assert scores.shape == (T, 2)
+        assert [g.shape for g in grads] == [stack.shape, logits.shape, w.shape]
         assert np.abs(scores - oracle).max() <= tol * np.abs(oracle).max()
+        assert np.abs(grads[2] - d_w_oracle).max() <= tol * np.abs(d_w_oracle).max()
+        if exact is None:
+            exact = grads
+        for g, ref in zip(grads, exact):
+            assert np.abs(g - ref).max() <= tol * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("T", [1, 3, 101, 3000])
-def test_relative_long_kernel_grads_match_finite_differences(T):
+@pytest.mark.parametrize("T, L", RELATIVE_CASES, ids=RELATIVE_IDS)
+def test_relative_long_kernel_grads_match_finite_differences(T, L):
     # one central difference per parameter group along a random direction,
     # in longdouble; the loss is linear in the stack and weights
-    stack, logits, w, v = (a.astype(LD) for a in relative_instance(T))
+    stack, logits, w, v = (a.astype(LD) for a in relative_instance(T, L))
     rng = np.random.default_rng(T + 1)
     upstream = rng.normal(size=(T, 2)).astype(LD)
     _, cache = _relative_state(stack, logits, w, v)
@@ -411,6 +438,24 @@ def test_relative_long_kernel_grads_match_finite_differences(T):
         fd = (loss(1) - loss(-1)) / (2 * h)
         analytic = (grad * direction).sum()
         assert abs(fd - analytic) <= 1e-9 * abs(analytic), i
+
+
+def test_relative_state_memory_is_bounded():
+    # the eval-long shape in float32: the (C*N, nb, B+L-1) frame blocks, about
+    # 2.1 MB, are the largest array; an (L, T, C) array of per-tap products
+    # would take 9.7 MB
+    rng = np.random.default_rng(18)
+    T, L, D, C, M, N = 3000, 101, 16, 8, 5, 3
+    args = [a.astype(np.float32) for a in (
+        random_stack(rng, M, L, N), rng.normal(size=(C, M)),
+        rng.normal(size=(C, N * D)), rng.normal(size=(T, D)))]
+    tracemalloc.start()
+    try:
+        _relative_state(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_relative_rejects_mismatched_context_weights():
