@@ -30,7 +30,7 @@ from .data import (
 )
 from .errors import NumericError, SupereventsError
 from .evaluation import evaluate
-from .filters import frame_positions, materialize_stack
+from .filters import materialize_stack
 from .model import FILTER_VARIANTS, VARIANTS, load_checkpoint, save_checkpoint
 from .pooling import soft_attention
 from .training import TrainConfig, gradcheck, train
@@ -232,8 +232,8 @@ def _cmd_export_filters(args) -> int:
 
     centers = state.params["filter_centers"].astype(np.float64)
     widths = state.params["filter_widths"].astype(np.float64)
-    values = materialize_stack(centers, widths, args.T)  # (M, T, N)
-    frame_centers, scales = frame_positions(centers, widths, args.T)
+    values, filters = materialize_stack(centers, widths, args.T)  # (M, T, N)
+    frame_centers, scales = filters["frame_centers"], filters["scales"]
     if state.variant == "single":
         attention = np.eye(state.num_classes)
     else:

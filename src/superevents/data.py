@@ -146,9 +146,12 @@ def _load_matrix(path, magic: bytes, dtype: np.dtype) -> np.ndarray:
 
 
 def save_features(path, features: np.ndarray) -> None:
-    features = np.ascontiguousarray(features, dtype="<f4")
+    with np.errstate(over="ignore"):  # an overflow is reported below, naming the file
+        features = np.ascontiguousarray(features, dtype="<f4")
     if features.ndim != 2:
         raise ValueError("features must be T x D")
+    if not np.isfinite(features).all():
+        raise ValueError(f"{path}: features are not finite in float32")
     write_container(path, FEATURE_MAGIC, struct.pack("<II", *features.shape), [features])
 
 
@@ -229,8 +232,8 @@ _FIELD_CHECKS = {
                     (lambda v: isinstance(v, list), "a list")),
     **dict.fromkeys(("feature_path", "label_path"), (
         lambda v: isinstance(v, str) and not Path(v).is_absolute(), "a relative path")),
-    "class_names": (lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
-                    "a list of strings"),
+    "class_names": (lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v)
+                    and len(set(v)) == len(v), "a list of distinct strings"),
     "shape": (lambda v: isinstance(v, list) and all(map(_is_count, v)),
               "a list of non-negative integers"),
     "config": (lambda v: isinstance(v, dict), "a JSON object"),
@@ -539,7 +542,7 @@ def _generate_video(cfg: SynthConfig, rng, emissions):
             labels[s:e, c] = 1
             features[s:e] += emissions[c]
     features += rng.normal(0.0, cfg.noise_sigma, size=features.shape)
-    return features.astype(np.float32), labels
+    return features, labels  # save_features casts them to float32
 
 
 def generate_synthetic(cfg: SynthConfig, out_dir) -> DatasetManifest:

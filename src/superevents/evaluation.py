@@ -102,6 +102,8 @@ class EvalReport:
 def evaluate(state: ModelState, dataset: Dataset) -> EvalReport:
     """Score every frame of every video (no dropout) and report per-class AP."""
     check_compatible(state, dataset)
+    if not dataset.videos:
+        raise ValueError("dataset is empty")
     scores = []
     labels = []
     for video in dataset.videos:

@@ -15,71 +15,62 @@ strictly positive and sums to one regardless of the raw parameter values,
 and center positions rescale proportionally with T. Frames are 0-based,
 t in {0, ..., T-1}.
 
-The functions take parameters with any leading shape: one filter's (N,),
-or a stack of M filters' (M, N). Their arithmetic runs on (..., N, T)
+`materialize_stack` takes parameters with any leading shape: one filter's
+(N,), or a stack of M filters' (M, N). Its arithmetic runs on (..., N, T)
 arrays, frames innermost, so every elementwise pass and every normalizing
-sum walks contiguous memory; the public shapes stay frames-major:
-`materialize_stack` returns C-contiguous (..., T, N) values and
-`stack_backward` takes a (..., T, N) upstream, whose length is T. They are
-pure and dtype-preserving (feed float64/longdouble arrays to get that
-precision back), so they are safe to call concurrently. `stack_backward`
-supplies the exact parameter gradients, including the dependence of the
-per-column normalizer on both parameters; at width = 0, where |tanh| has a
-kink, the subgradient 0 is used.
+sum walks contiguous memory. It returns C-contiguous (..., T, N) values and
+a cache: center_hat and scale_hat, the tanh of both parameters, and the
+(..., N, T) values, h and u. `stack_backward(cache, upstream)` takes a
+(..., T, N) upstream and reads the cache, recomputing none of it; it gives
+the exact parameter gradients, including the dependence of the per-column
+normalizer on both parameters (at width = 0, where |tanh| has a kink, the
+subgradient 0 is used). Both are pure and dtype-preserving (feed
+float64/longdouble arrays to get that precision back).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["frame_positions", "materialize_stack", "stack_backward"]
+__all__ = ["materialize_stack", "stack_backward"]
 
 
-def frame_positions(centers, widths, T: int):
-    """Frame-unit centers center_hat and scales scale_hat of the filters at
-    sequence length T, each with the parameters' shape."""
+def _frame_positions(centers, widths, T: int):
+    """tanh of the raw centers and widths, then center_hat and scale_hat."""
+    th_c, th_w, one = np.tanh(centers), np.tanh(widths), centers.dtype.type(1)
+    return th_c, th_w, (T - 1) * (th_c + one) / 2, np.exp(one - 2 * np.abs(th_w))
+
+
+def materialize_stack(centers: np.ndarray, widths: np.ndarray, T: int):
+    """Evaluate filters with leading batch shape at length T: returns
+    (values (..., T, N), the cache stack_backward reads)."""
     centers = np.asarray(centers)
     widths = np.asarray(widths)
     if T < 1:
         raise ValueError("sequence length T must be >= 1")
     if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(widths))):
         raise ValueError("filter parameters must be finite")
-    one = centers.dtype.type(1)
-    frame_centers = (T - 1) * (np.tanh(centers) + one) / 2
-    scales = np.exp(one - 2 * np.abs(np.tanh(widths)))
-    return frame_centers, scales
-
-
-def _columns(frame_centers, scales, T: int):
-    # normalized columns, h and offsets u, each (..., N, T)
+    th_c, th_w, frame_centers, scales = _frame_positions(centers, widths, T)
     t = np.arange(T, dtype=frame_centers.dtype)
     u = (t - frame_centers[..., None]) / scales[..., None]
     h = 1 / (1 + u * u)
-    return h / h.sum(axis=-1, keepdims=True), h, u
+    values = h / h.sum(axis=-1, keepdims=True)
+    cache = {"frame_centers": frame_centers, "scales": scales, "th_c": th_c,
+             "th_w": th_w, "values": values, "h": h, "u": u}
+    return np.ascontiguousarray(np.swapaxes(values, -1, -2)), cache
 
 
-def materialize_stack(centers: np.ndarray, widths: np.ndarray, T: int) -> np.ndarray:
-    """Evaluate filters with leading batch shape at length T: values (..., T, N)."""
-    values, _, _ = _columns(*frame_positions(centers, widths, T), T)
-    return np.ascontiguousarray(np.swapaxes(values, -1, -2))
-
-
-def stack_backward(centers: np.ndarray, widths: np.ndarray, upstream: np.ndarray):
-    """Gradients of sum(upstream * values) wrt raw centers/widths.
-
-    `upstream` has shape (..., T, N) matching materialize_stack output;
-    returns (dcenters, dwidths) with the parameter shapes.
-    """
-    centers = np.asarray(centers)
-    widths = np.asarray(widths)
-    upstream = np.asarray(upstream, dtype=centers.dtype)
-    if (upstream.ndim != centers.ndim + 1
-            or upstream.shape[:-2] + upstream.shape[-1:] != centers.shape):
-        raise ValueError(f"upstream shape {upstream.shape} is not (..., T, N) for "
-                         f"parameters {centers.shape}")
-    T = upstream.shape[-2]
-    frame_centers, scales = frame_positions(centers, widths, T)
-    values, h, u = _columns(frame_centers, scales, T)
+def stack_backward(cache: dict, upstream: np.ndarray):
+    """Gradients (dcenters, dwidths), in the parameters' shapes, of
+    sum(upstream * values) wrt the raw centers and widths of a
+    materialize_stack cache; upstream has the values' (..., T, N) shape."""
+    values, h, u = cache["values"], cache["h"], cache["u"]
+    th_c, th_w = cache["th_c"], cache["th_w"]
+    upstream = np.asarray(upstream, dtype=th_c.dtype)
+    *lead, N, T = values.shape
+    if upstream.shape != (*lead, T, N):
+        raise ValueError(f"upstream shape {upstream.shape} is not the stack's "
+                         f"{(*lead, T, N)}")
     up = np.ascontiguousarray(np.swapaxes(upstream, -1, -2))
 
     # dL/dh_t = (up_t - sum_s up_s values_s) / sum_s h_s, and since
@@ -90,10 +81,8 @@ def stack_backward(centers: np.ndarray, widths: np.ndarray, upstream: np.ndarray
     # dL/dh_t h_t^2 = (up_t - inner) values_t h_t
     a = (up - (up * values).sum(axis=-1, keepdims=True)) * values * h * u
 
-    one = centers.dtype.type(1)
-    th_c = np.tanh(centers)
-    th_w = np.tanh(widths)
-    dcenters = a.sum(axis=-1) / scales * (T - 1) * (one - th_c * th_c)
+    one = th_c.dtype.type(1)
+    dcenters = a.sum(axis=-1) / cache["scales"] * (T - 1) * (one - th_c * th_c)
     # dscale_hat/dwidth = -2 scale_hat sign(tanh) (1 - tanh^2), whose scale_hat
     # cancels dL/dscale_hat's 1/scale_hat; sign() yields 0 at width = 0, the
     # chosen subgradient of |tanh|

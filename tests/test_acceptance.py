@@ -44,7 +44,7 @@ from superevents.data import (
     split_manifest,
 )
 from superevents.evaluation import average_precision, evaluate
-from superevents.filters import frame_positions, materialize_stack
+from superevents.filters import materialize_stack
 from superevents.model import load_checkpoint, save_checkpoint
 from superevents.pooling import (
     pool_attended,
@@ -141,7 +141,7 @@ def bench(tmp_path_factory):
 
 def random_stack(rng, m, T, n, dtype=np.float64):
     return materialize_stack(rng.normal(size=(m, n)).astype(dtype),
-                             rng.normal(size=(m, n)).astype(dtype), T)
+                             rng.normal(size=(m, n)).astype(dtype), T)[0]
 
 
 def test_criterion_1_gradient_correctness():
@@ -168,8 +168,8 @@ def test_criterion_2_filter_invariants():
         n = int(rng.integers(1, 5))
         T = int(rng.integers(1, 240))
         params = rng.normal(0, 3, n), rng.normal(0, 3, n)
-        values = materialize_stack(*params, T)
-        centers, scales = frame_positions(*params, T)
+        values, cache = materialize_stack(*params, T)
+        centers, scales = cache["frame_centers"], cache["scales"]
         sums = values.sum(axis=0)
         worst_sum = max(worst_sum, float(np.max(np.abs(sums - 1.0))))
         assert np.all(values > 0)

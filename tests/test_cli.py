@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from superevents.cli import main
-from superevents.data import (SynthConfig, load_dataset, load_features, load_manifest,
-                              save_features)
+from superevents.data import (FEATURE_MAGIC, SynthConfig, load_dataset, load_features,
+                              load_manifest, write_container)
 from superevents.errors import FormatError, ModelDatasetMismatchError
 from superevents.evaluation import evaluate
 from superevents.model import load_checkpoint
@@ -590,6 +590,52 @@ def test_unallocatable_synth_is_io_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("error")  # no numpy overflow warning on the way
+def test_synth_noise_overflowing_float32_leaves_nothing_behind(tmp_path, capsys):
+    out = tmp_path / "new" / "out"
+    code, stdout, err = run(capsys, ["synth", "--out", str(out), "--videos", "1",
+                                     "--noise", "1e300"])
+    assert code == 2 and not stdout
+    assert err == (f"superevents: error: {out / 'features' / 'v00000.tsfv'}: "
+                   f"features are not finite in float32\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_repeated_class_names_are_format_error(synth_dir, baseline_ckpt, tmp_path,
+                                               capsys):
+    # a repeated name would merge two classes' columns under one key
+    doc = json.loads((synth_dir / "manifest.json").read_text())
+    doc["class_names"][1] = doc["class_names"][0]
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="class_names"):
+        load_manifest(bad)
+    for argv in (["eval", "--data", str(bad), "--model", str(baseline_ckpt)],
+                 ["train", "--data", str(bad), "--out", str(tmp_path / "x.ckpt"),
+                  "--iters", "1", "--quiet"]):
+        code, stdout, err = run(capsys, argv)
+        assert code == 2 and not stdout
+        assert str(bad) in err and "class_names" in err and "distinct" in err
+    ckpt = tmp_path / "repeated.ckpt"
+    rewrite_header(baseline_ckpt, ckpt,
+                   lambda h: h["class_names"].__setitem__(1, h["class_names"][0]))
+    with pytest.raises(FormatError, match="class_names"):
+        load_checkpoint(ckpt)
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_eval_empty_dataset_is_error(synth_dir, baseline_ckpt, tmp_path, capsys):
+    doc = json.loads((synth_dir / "manifest.json").read_text())
+    doc["videos"] = []
+    empty = tmp_path / "manifest.json"
+    empty.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="dataset is empty"):
+        evaluate(load_checkpoint(baseline_ckpt), load_dataset(empty))
+    code, stdout, err = run(capsys, ["eval", "--data", str(empty),
+                                     "--model", str(baseline_ckpt), "--json"])
+    assert code == 2 and not stdout and err == "superevents: error: dataset is empty\n"
+
+
 def test_non_finite_feature_file_is_format_error(synth_dir, baseline_ckpt, tmp_path,
                                                  capsys):
     data = tmp_path / "data"
@@ -597,7 +643,7 @@ def test_non_finite_feature_file_is_format_error(synth_dir, baseline_ckpt, tmp_p
     path = data / "features" / "v00001.tsfv"
     features = load_features(path)
     features[3, 0] = np.nan
-    save_features(path, features)
+    write_container(path, FEATURE_MAGIC, struct.pack("<II", *features.shape), [features])
     code, stdout, err = run(capsys, ["eval", "--data", str(data / "manifest.json"),
                                      "--model", str(baseline_ckpt)])
     assert code == 2 and str(path) in err and "not finite" in err and not stdout

@@ -1,10 +1,12 @@
 import json
+import struct
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from superevents.data import (
+    FEATURE_MAGIC,
     Dataset,
     PairedRule,
     SynthConfig,
@@ -19,6 +21,7 @@ from superevents.data import (
     save_labels,
     split_manifest,
     verify_paired_rules,
+    write_container,
 )
 from superevents.errors import (
     BadMagicError,
@@ -145,7 +148,11 @@ def test_non_finite_features_rejected(tmp_path, value):
     p = tmp_path / "f.tsfv"
     features = np.ones((3, 2), dtype=np.float32)
     features[1, 0] = value
-    save_features(p, features)
+    with pytest.raises(ValueError, match="not finite") as info:
+        save_features(p, features)
+    assert str(p) in str(info.value) and not p.exists()
+    # a file written by other code is checked when it is read
+    write_container(p, FEATURE_MAGIC, struct.pack("<II", 3, 2), [features])
     with pytest.raises(FormatError, match="not finite") as info:
         load_features(p)
     assert str(p) in str(info.value)

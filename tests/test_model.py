@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from superevents import filters
 from superevents.detector import bce_loss
 from superevents.errors import BadMagicError, TruncatedPayloadError, UnsupportedVersionError
 from superevents.model import (
@@ -134,6 +135,23 @@ def test_variant_gradients_match_finite_differences(variant):
         v = rng.normal(size=(8, 4)).astype(LD)
         z = rng.integers(0, 2, (8, 3)).astype(np.uint8)
         fd_check(state, v, z)
+
+
+@pytest.mark.parametrize("variant, builds", [("single", 1), ("attended", 2),
+                                             ("relative", 1)])
+def test_filter_positions_computed_once_per_build(monkeypatch, variant, builds):
+    # stack_backward reads materialize_stack's cache; only attended's backward
+    # materializes its stack a second time
+    calls = []
+    positions = filters._frame_positions
+    monkeypatch.setattr(filters, "_frame_positions",
+                        lambda *args: calls.append(args) or positions(*args))
+    rng = np.random.default_rng(4)
+    state = make_state(variant, rng)
+    v = rng.normal(size=(9, 4))
+    z = rng.integers(0, 2, (9, 3)).astype(np.uint8)
+    loss_and_grads(state, v, z)
+    assert len(calls) == builds
 
 
 def test_single_variant_uses_per_class_filters():

@@ -25,7 +25,7 @@ LD = np.longdouble
 
 
 def random_stack(rng, m, T, n):
-    return materialize_stack(rng.normal(size=(m, n)), rng.normal(size=(m, n)), T)
+    return materialize_stack(rng.normal(size=(m, n)), rng.normal(size=(m, n)), T)[0]
 
 
 # ---------------------------------------------------------------------------
