@@ -4,9 +4,11 @@ Frames are pooled across all test videos per class before ranking
 (dataset-level AP). AP is the exact precision-at-positive-rank form: sum of
 precision at each positive, in descending score order, divided by the
 positive count; no interpolation. Frames rank by (-score, video order, frame
-order), so reports are deterministic: one sort, then a frame-index tie-break
-on the tied runs only, which gives bitwise the APs of a stable sort. Classes
-with no positive frame are excluded from the mean and listed in the report.
+order): one sort of int64 keys, each -score narrowed to float32 as an
+order-keeping integer above its frame index, then for scores wider than
+float32 a re-sort by full value of the runs that narrowing merged. The APs are
+bitwise those of a stable sort. Classes with no positive frame are excluded
+from the mean and listed in the report.
 """
 
 from __future__ import annotations
@@ -37,15 +39,18 @@ def _rank(scores: np.ndarray) -> np.ndarray:
         raise ValueError(f"cannot rank {scores.size} frames: the tie-break key "
                          f"holds indices below 2**{_INDEX_BITS}")
     neg = -scores
-    order = np.argsort(neg)
-    ranked = neg[order]
-    nan = np.isnan(ranked)
-    tied = np.r_[False, (ranked[1:] == ranked[:-1]) | (nan[1:] & nan[:-1])]
-    runs = np.flatnonzero(tied | np.r_[tied[1:], False])
-    if runs.size:
-        run_rank = np.cumsum(~tied[runs], dtype=np.uint64) << np.uint64(_INDEX_BITS)
-        key = np.sort(run_rank | order[runs].astype(np.uint64))
-        order[runs] = key & np.uint64((1 << _INDEX_BITS) - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow to inf; signalling NaNs
+        narrow = neg.astype(np.float32, copy=False) + np.float32(0)  # -0.0 is +0.0
+    narrow[np.isnan(narrow)] = np.nan  # one NaN pattern, which orders after +inf
+    bits = narrow.view(np.int32)
+    bits ^= (bits >> 31) & 0x7FFFFFFF  # signed integers in float order
+    key = np.sort(bits.astype(np.int64) << _INDEX_BITS | np.arange(scores.size))
+    order = key & ((1 << _INDEX_BITS) - 1)
+    if neg.dtype.itemsize > 4:  # narrowing may have merged distinct values
+        tied = np.diff(key >> _INDEX_BITS) == 0
+        runs = np.flatnonzero(np.r_[tied, False] | np.r_[False, tied])
+        idx, run_id = order[runs], np.cumsum(~np.r_[False, tied][runs])
+        order[runs] = idx[np.lexsort((neg[idx], run_id))]  # stable: index order kept
     return order
 
 
@@ -57,12 +62,13 @@ def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels).reshape(-1)
     if scores.shape != labels.shape or scores.size == 0:
         raise ValueError("scores and labels must be equal-length and nonempty")
-    positives = int(labels.sum())
-    if positives == 0:
+    positive = labels == 1
+    if not (positive | (labels == 0)).all():
+        raise ValueError("labels must be 0 or 1")
+    if not positive.any():
         raise ValueError("average precision is undefined without positives")
-    ranked = labels[_rank(scores)].astype(np.float64)
-    hits = np.flatnonzero(ranked == 1)
-    return float((np.cumsum(ranked)[hits] / (hits + 1)).sum() / positives)
+    hits = np.flatnonzero(positive[_rank(scores)])
+    return float((np.arange(1, hits.size + 1) / (hits + 1)).sum() / hits.size)
 
 
 @dataclass

@@ -89,9 +89,13 @@ def ap_oracle(scores, labels):
 
 
 def ap_stable_oracle(scores, labels):
-    """Frame AP ranked by one stable argsort of the float64 -scores: the
-    bitwise reference for evaluation.average_precision's ranking."""
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    """Frame AP ranked by one stable argsort of the -scores, in longdouble for
+    longdouble scores and in float64 otherwise: the bitwise reference for
+    evaluation.average_precision's ranking."""
+    scores = np.asarray(scores)
+    wide = np.longdouble if scores.dtype == np.longdouble else np.float64
+    with np.errstate(invalid="ignore"):  # signalling NaNs stay NaNs
+        scores = scores.astype(wide).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     order = np.argsort(-scores, kind="stable")
     ranked = labels[order].astype(np.float64)

@@ -46,6 +46,16 @@ def test_no_positives_is_undefined():
         average_precision(np.array([0.5, 0.2]), np.array([0, 0]))
 
 
+@pytest.mark.parametrize("labels", [[2, 0], [1, 2], [1, -1], [0.5, 0.5], [1, np.nan]])
+def test_labels_outside_0_and_1_are_rejected(labels):
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        average_precision(np.array([0.9, 0.1]), np.array(labels))
+
+
+def test_bool_labels_are_valid():
+    assert average_precision(np.array([0.9, 0.1]), np.array([False, True])) == 0.5
+
+
 def test_matches_oracle_random():
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -172,6 +182,12 @@ def _saturated_sigmoid(rng, n):
         return (1 / (1 + np.exp(-logits))).astype(np.float32)
 
 
+# float32 NaNs: quiet, sign bit set, signalling, negative with a full payload,
+# quiet with a payload
+NAN32 = np.array([0x7FC00000, 0xFFC00000, 0x7F800001, 0xFFBFFFFF, 0x7FC00123],
+                 np.uint32).view(np.float32)
+LONGDOUBLE_1E17_APART = np.longdouble(0.5) + np.arange(4) * np.longdouble("1e-17")
+
 TIED_SCORES = {
     "sigmoid-float32-saturated": _saturated_sigmoid,
     "float64-1-decimal": lambda rng, n: np.round(rng.random(n), 1),
@@ -183,7 +199,28 @@ TIED_SCORES = {
     "signed-zeros-nans-float64": lambda rng, n: rng.choice([0.0, -0.0, 0.5, np.nan], n),
     "signed-zeros-nans-float32": lambda rng, n: rng.choice(
         np.array([0.0, -0.0, -0.5, np.inf, np.nan], np.float32), n),
+    "float64-merged-in-float32": lambda rng, n: rng.choice(
+        [0.5, np.nextafter(0.5, 1), np.nextafter(0.5, 0), -0.5, np.nextafter(-0.5, 0)], n),
+    "float64-beyond-float32-and-inf": lambda rng, n: rng.choice(
+        [1e300, -1e300, np.inf, -np.inf, 3.5e38, 1.0], n),
+    "float64-subnormals-and-zeros": lambda rng, n: rng.choice(
+        [5e-324, -5e-324, 1e-310, -1e-310, 0.0, -0.0], n),
+    "float16": lambda rng, n: rng.choice(
+        np.array([0.0, -0.0, 0.1, 0.1001, 65504, -np.inf, np.nan], np.float16), n),
+    "longdouble-1e-17-apart": lambda rng, n: rng.choice(LONGDOUBLE_1E17_APART, n),
+    "float32-nan-payloads": lambda rng, n: rng.choice(
+        np.r_[NAN32, np.float32(0.5), np.float32(-0.0), np.float32(np.inf)], n),
 }
+
+
+def test_tied_score_kinds_keep_their_distinctions():
+    # each kind exercises what its name says: the longdouble values are distinct
+    # in longdouble only, and the float32 NaNs keep their bit patterns
+    assert np.unique(LONGDOUBLE_1E17_APART).size == 4
+    if np.finfo(np.longdouble).eps < 1e-17:
+        assert np.unique(LONGDOUBLE_1E17_APART.astype(np.float64)).size == 1
+    assert np.unique(NAN32.view(np.uint32)).size == NAN32.size and np.isnan(NAN32).all()
+    assert np.float32(np.nextafter(0.5, 1)) == np.float32(0.5)
 
 
 @pytest.mark.parametrize("n", [1, 2, 37, 70_000])  # 70,000 > 2**16
@@ -199,13 +236,19 @@ def test_ap_bitwise_equals_stable_argsort(kind, n):
 
 @settings(deadline=None, max_examples=300)
 @given(
-    st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.inf, -np.inf, np.nan]),
+    st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, np.nextafter(0.5, 1), 1.0, 1e300,
+                              -1e300, 5e-324, -5e-324, np.inf, -np.inf, np.nan]),
              min_size=1, max_size=40),
-    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from([np.float16, np.float32, np.float64, np.longdouble]),
     st.data(),
 )
 def test_ap_bitwise_equals_stable_argsort_on_tie_heavy_arrays(values, dtype, data):
-    scores = np.array(values, dtype=dtype)
+    with np.errstate(over="ignore"):
+        scores = np.array(values).astype(dtype)
+    if dtype is np.float32:  # NaNs of every sign and payload tie
+        nans = data.draw(st.lists(st.integers(0, NAN32.size - 1), min_size=len(values),
+                                  max_size=len(values)))
+        scores = np.where(np.isnan(scores), NAN32[nans], scores)
     labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(values),
                                          max_size=len(values))))
     labels[data.draw(st.integers(0, len(values) - 1))] = 1
@@ -226,13 +269,29 @@ def test_evaluate_json_is_bytewise_the_stable_argsort_report(monkeypatch):
     ds = make_dataset(rng, videos=5, T=40, D=4, C=4)
     attended = init_model("attended", ds.feature_dim, ds.num_classes, ds.class_names,
                           3, 2, 0, rng)
+    attended64 = init_model("attended", ds.feature_dim, ds.num_classes, ds.class_names,
+                            3, 2, 0, rng, dtype=np.float64)
     constant = init_model("baseline", ds.feature_dim, ds.num_classes, ds.class_names,
                           0, 0, 0, rng)
     for params in constant.params.values():
         params[...] = 0  # every probability is 0.5: one tie over all frames
-    for state in (attended, constant):
-        got = evaluate(state, ds).to_json()
+    cases = [(attended, ds), (attended64, ds), (constant, ds)]
+    long = make_dataset(rng, videos=3, T=25_000, D=4, C=3)  # 75,000 frames > 2**16
+    for dtype in (np.float32, np.float64):
+        saturated = init_model("baseline", long.feature_dim, long.num_classes,
+                               long.class_names, 0, 0, 0, rng, dtype=dtype)
+        saturated.params["classifier_weight"] *= 1000
+        probs = ev.predict_probabilities(saturated, long.videos[0].features)
+        with np.errstate(under="ignore"):
+            narrow = probs.astype(np.float32)
+        # many exact 0.0 and 1.0 ties; in float64, many more that float32 merges
+        assert probs.dtype == dtype
+        assert min((probs == 0).sum(), (probs == 1).sum()) > 1000
+        assert dtype is np.float32 or ((narrow == 0) & (probs != 0)).sum() > 1000
+        cases.append((saturated, long))
+    for state, data in cases:
+        got = evaluate(state, data).to_json()
         monkeypatch.setattr(ev, "average_precision", ap_stable_oracle)
-        want = evaluate(state, ds).to_json()
+        want = evaluate(state, data).to_json()
         monkeypatch.undo()
         assert got == want
